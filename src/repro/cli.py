@@ -41,7 +41,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -104,16 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap scheduling chunks at K problems each",
     )
     campaign.add_argument("--seed", type=int, default=1)
-    campaign.add_argument(
-        "--batch", action="store_true",
-        help="group fingerprint-sharing problems and solve them in "
-        "lockstep (bit-identical results, amortized host analysis)",
-    )
-    campaign.add_argument(
-        "--substrate", metavar="NAME", default=None,
-        help="kernel substrate for SpMV inner stages (default: numpy; "
-        "'numba' needs the optional compiled backend)",
-    )
     campaign.add_argument(
         "--telemetry", metavar="FILE",
         help="write the telemetry aggregate as JSON (docs/operations.md)",
@@ -502,25 +491,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.errors import DatasetError, ReproError
+    from repro.errors import DatasetError
 
-    if args.substrate is not None:
-        from repro.sparse.substrate import SUBSTRATE_ENV, set_substrate
-
-        try:
-            set_substrate(args.substrate)
-        except ReproError as exc:
-            print(f"campaign: {exc}", file=sys.stderr)
-            return 2
-        # Worker processes pick the substrate up from the environment.
-        os.environ[SUBSTRATE_ENV] = args.substrate
     try:
         report = run_campaign(
             sources,
             seed=args.seed,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            batch=args.batch,
         )
     except DatasetError as exc:
         print(f"campaign: {exc}", file=sys.stderr)

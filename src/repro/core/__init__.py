@@ -17,7 +17,6 @@ Maps Figure 3's blocks to modules:
 from repro.core.accelerator import (
     Acamar,
     AcamarResult,
-    BatchContext,
     SolverAttempt,
 )
 from repro.core.chunking import (
@@ -56,7 +55,6 @@ from repro.core.solver_modifier import SolverModifierUnit
 __all__ = [
     "Acamar",
     "AcamarResult",
-    "BatchContext",
     "ChunkStream",
     "MatrixChunk",
     "chunk_count",

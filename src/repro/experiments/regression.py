@@ -31,14 +31,13 @@ BENCH_GUARDED_PREFIXES = (
     "hotpath_",
     "serving_",
     "cluster_",
-    "batched_",
     "dse_",
     "lint_",
     "placement_",
 )
 """Band-name prefixes owned by dedicated benchmark guards
 (``bench_hot_path.py``, ``bench_serving.py``, ``bench_cluster.py``,
-``bench_batched.py``, ``bench_dse.py``), not derivable from the
+``bench_dse.py``), not derivable from the
 modeled headline metrics this module measures."""
 
 

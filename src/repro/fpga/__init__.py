@@ -20,7 +20,6 @@ from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel, EnergyReport
 from repro.fpga.host import (
     EndToEndReport,
-    batched_transfer_seconds,
     end_to_end,
     matrix_transfer_bytes,
     transfer_seconds,
@@ -82,7 +81,6 @@ __all__ = [
     "gpu_roofline",
     "spmv_arithmetic_intensity",
     "HBM_BANDWIDTH_BPS",
-    "batched_transfer_seconds",
     "end_to_end",
     "matrix_transfer_bytes",
     "transfer_seconds",

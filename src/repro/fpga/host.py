@@ -51,31 +51,6 @@ def transfer_seconds(n_bytes: int, n_transfers: int = 1) -> float:
     )
 
 
-BATCHED_TRANSFER_SETUP_SECONDS = 2e-6
-"""Per-member descriptor cost inside a batched (scatter-gather) DMA.
-
-A fingerprint-sharing batch ships K right-hand sides in one
-scatter-gather transfer: one full :data:`TRANSFER_SETUP_SECONDS` for the
-head descriptor, then a chained descriptor per additional member — no
-extra doorbell or completion round-trip."""
-
-
-def batched_transfer_seconds(n_bytes_each: int, k: int) -> float:
-    """DMA time for ``k`` equal payloads chained into one transfer.
-
-    Equals ``transfer_seconds(n_bytes_each)`` for ``k == 1`` and beats
-    ``k`` separate transfers for every ``k > 1`` (the bandwidth term is
-    unchanged; only the setup overhead amortizes).
-    """
-    if k < 1:
-        return 0.0
-    return (
-        k * n_bytes_each / PCIE_BANDWIDTH_BYTES_PER_S
-        + TRANSFER_SETUP_SECONDS
-        + (k - 1) * BATCHED_TRANSFER_SETUP_SECONDS
-    )
-
-
 @dataclass(frozen=True)
 class EndToEndReport:
     """Complete host-visible latency of one accelerated solve."""

@@ -8,12 +8,11 @@ right-hand sides), so the service keys a cache on a pattern hash:
 
 ``structure_fingerprint(matrix)``
     SHA-256 over the shape plus the canonical ``indptr``/``indices``
-    arrays (as little-endian int64 bytes).  The hash itself lives on the
-    sparse substrate (:func:`repro.sparse.structure_fingerprint`, cached
-    on :class:`~repro.sparse.csr.CSRMatrix` alongside the other lazy
-    structure views) because the batched campaign grouper keys on it
-    from *below* the serving layer; this module re-exports it for
-    serving callers.  Values are deliberately excluded: two matrices
+    arrays (as little-endian int64 bytes).  The hash itself lives in
+    :mod:`repro.sparse` (:func:`repro.sparse.structure_fingerprint`,
+    cached on :class:`~repro.sparse.csr.CSRMatrix` alongside the other
+    lazy structure views); this module re-exports it for serving
+    callers.  Values are deliberately excluded: two matrices
     with equal structure and different data share the analysis verdict
     and the unroll plan, which depend only on row lengths and symmetry
     of the pattern.  Note the symmetry check the hardware performs

@@ -50,8 +50,7 @@ BATCH_MEMBER_DISPATCH_SECONDS = 1e-6
 micro-batch.  The batch's first member pays the full
 :data:`DISPATCH_OVERHEAD_SECONDS` (descriptor setup, fingerprint lookup);
 members riding the same configured slot reuse the descriptor and the
-lookup and pay only the queue pop — the serving-tier analogue of the
-batched solver backend's amortized host analysis."""
+lookup and pay only the queue pop."""
 
 
 @dataclass(frozen=True)

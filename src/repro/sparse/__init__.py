@@ -16,7 +16,6 @@ solvers and cost models need, without depending on ``scipy.sparse``:
   Fine-Grained Reconfiguration unit.
 """
 
-from repro.sparse.batched import BatchedCSROperator
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix, structure_fingerprint
@@ -40,14 +39,8 @@ from repro.sparse.reorder import (
 )
 from repro.sparse.sliced_ell import ELLSlice, SlicedELLMatrix
 from repro.sparse.stats import RowLengthStats, row_length_stats, row_lengths
-from repro.sparse.substrate import (
-    available_substrates,
-    set_substrate,
-    use_substrate,
-)
 
 __all__ = [
-    "BatchedCSROperator",
     "COOMatrix",
     "CSCMatrix",
     "CSRMatrix",
@@ -58,7 +51,6 @@ __all__ = [
     "MatrixProperties",
     "RowLengthStats",
     "analyze_properties",
-    "available_substrates",
     "is_strictly_diagonally_dominant",
     "is_symmetric",
     "jacobi_iteration_spectral_radius",
@@ -71,9 +63,7 @@ __all__ = [
     "read_matrix_market",
     "row_lengths",
     "row_length_stats",
-    "set_substrate",
     "structure_fingerprint",
     "unpermute_vector",
-    "use_substrate",
     "write_matrix_market",
 ]

@@ -6,10 +6,8 @@ from repro import Acamar
 from repro.datasets import load_problem, poisson_2d
 from repro.fpga import PerformanceModel
 from repro.fpga.host import (
-    BATCHED_TRANSFER_SETUP_SECONDS,
     PCIE_BANDWIDTH_BYTES_PER_S,
     TRANSFER_SETUP_SECONDS,
-    batched_transfer_seconds,
     end_to_end,
     matrix_transfer_bytes,
     transfer_seconds,
@@ -30,29 +28,6 @@ class TestTransferMath:
         assert bytes_only == pytest.approx(1.0)
         with_setup = transfer_seconds(0, 3)
         assert with_setup == pytest.approx(3 * TRANSFER_SETUP_SECONDS)
-
-
-class TestBatchedTransfer:
-    def test_single_member_equals_plain_transfer(self):
-        n_bytes = 4 * 65536
-        assert batched_transfer_seconds(n_bytes, 1) == pytest.approx(
-            transfer_seconds(n_bytes)
-        )
-
-    def test_chained_members_amortize_setup(self):
-        n_bytes = 4 * 65536
-        k = 8
-        separate = k * transfer_seconds(n_bytes)
-        chained = batched_transfer_seconds(n_bytes, k)
-        assert chained < separate
-        # The bandwidth term is unchanged; only setup amortizes.
-        saving = (k - 1) * (
-            TRANSFER_SETUP_SECONDS - BATCHED_TRANSFER_SETUP_SECONDS
-        )
-        assert separate - chained == pytest.approx(saving)
-
-    def test_empty_batch_is_free(self):
-        assert batched_transfer_seconds(4096, 0) == 0.0
 
 
 class TestEndToEnd:
