@@ -70,12 +70,13 @@ def sample_row_lengths(
         raise ConfigurationError(
             f"correlation must be in [0, 1), got {correlation}"
         )
-    noise = rng.standard_normal(n)
-    z = np.empty(n)
-    z[0] = noise[0]
-    scale = np.sqrt(1.0 - correlation**2)
+    # The recurrence runs on Python floats: the same IEEE products and
+    # sums as numpy scalars, without the per-element boxing.
+    walk = rng.standard_normal(n).tolist()
+    scale = float(np.sqrt(1.0 - correlation**2))
     for i in range(1, n):
-        z[i] = correlation * z[i - 1] + scale * noise[i]
+        walk[i] = correlation * walk[i - 1] + scale * walk[i]
+    z = np.array(walk)
     mu = np.log(mean_nnz) - 0.5 * spread**2
     lengths = np.round(np.exp(mu + spread * z)).astype(np.int64)
     cap = max_nnz if max_nnz is not None else max(min_nnz, n - 1)
@@ -85,20 +86,20 @@ def sample_row_lengths(
 def _random_offdiag_pattern(
     n: int, row_lengths: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random off-diagonal coordinates with the requested row lengths."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for i, k in enumerate(row_lengths):
-        k = int(min(k, n - 1))
-        if k <= 0:
-            continue
-        choices = rng.choice(n - 1, size=k, replace=False)
-        choices = np.where(choices >= i, choices + 1, choices)  # skip diagonal
-        rows.append(np.full(k, i, dtype=np.int64))
-        cols.append(choices.astype(np.int64))
-    if not rows:
+    """Random off-diagonal coordinates with the requested row lengths.
+
+    One ``rng.choice`` per non-empty row, in row order; the rows and the
+    diagonal skip are then built for all rows at once.
+    """
+    lengths = np.clip(np.minimum(row_lengths, n - 1).astype(np.int64), 0, None)
+    picks = [
+        rng.choice(n - 1, size=k, replace=False) for k in lengths.tolist() if k > 0
+    ]
+    if not picks:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(cols)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    cols = np.concatenate(picks).astype(np.int64, copy=False)
+    return rows, np.where(cols >= rows, cols + 1, cols)  # skip diagonal
 
 
 def _assemble(
@@ -118,7 +119,7 @@ def _assemble(
         perm = rng.permutation(n)
         all_rows = perm[all_rows]
         all_cols = perm[all_cols]
-    return COOMatrix((n, n), all_rows, all_cols, all_vals).canonical().to_csr()
+    return COOMatrix((n, n), all_rows, all_cols, all_vals).to_csr()
 
 
 def sdd_matrix(
@@ -158,6 +159,11 @@ def sdd_matrix(
     return _assemble(n, coo.rows, coo.cols, coo.data, diag, False, rng)
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., c - 1`` for each count ``c``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _clique_pattern(
     n: int,
     clique_mean: float,
@@ -165,29 +171,36 @@ def _clique_pattern(
     clique_min: int = 3,
     clique_max: int = 24,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Partition rows into cliques; return the off-diagonal clique pairs."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
+    """Partition rows into cliques; return the off-diagonal clique pairs.
+
+    Pairs come clique by clique, each in row-major order.  Only the
+    clique sizes are drawn in the loop (one ``rng.lognormal`` each); the
+    pairs are then built for all cliques at once.
+    """
+    log_mean = np.log(clique_mean)
+    starts: list[int] = []
+    sizes: list[int] = []
     start = 0
     while start < n:
-        size = int(
-            np.clip(
-                round(rng.lognormal(np.log(clique_mean), 0.4)),
-                clique_min,
-                clique_max,
-            )
-        )
+        size = min(max(round(rng.lognormal(log_mean, 0.4)), clique_min), clique_max)
         size = min(size, n - start)
         if size >= 2:
-            members = np.arange(start, start + size)
-            grid_r, grid_c = np.meshgrid(members, members, indexing="ij")
-            off = grid_r != grid_c
-            rows.append(grid_r[off].ravel())
-            cols.append(grid_c[off].ravel())
+            starts.append(start)
+            sizes.append(size)
         start += max(size, 1)
-    if not rows:
+    if not sizes:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(cols)
+    size_arr = np.array(sizes, dtype=np.int64)
+    # One entry per clique member: its row and its index in the clique.
+    member_local = _ranks(size_arr)
+    member_row = np.repeat(np.array(starts, dtype=np.int64), size_arr) + member_local
+    # One entry per pair: member i meets the other m - 1 members in order.
+    degree = np.repeat(size_arr - 1, size_arr)
+    rows = np.repeat(member_row, degree)
+    local = np.repeat(member_local, degree)
+    other = _ranks(degree)
+    cols = rows - local + other + (other >= local)
+    return rows, cols
 
 
 def spd_clique_matrix(
@@ -312,15 +325,17 @@ def balanced_indefinite_matrix(
     """
     rng = np.random.default_rng(seed)
     half = n // 2
-    rows_list: list[np.ndarray] = []
-    cols_list: list[np.ndarray] = []
-    for i in range(half):
-        k = max(1, int(rng.lognormal(np.log(mean_nnz), 0.5)))
-        chosen = rng.choice(half, size=min(k, half), replace=False)
-        rows_list.append(np.full(len(chosen), i, dtype=np.int64))
-        cols_list.append(chosen.astype(np.int64))
-    r = np.concatenate(rows_list)
-    c = np.concatenate(cols_list)
+    log_mean = np.log(mean_nnz)
+    picks = [
+        rng.choice(
+            half,
+            size=min(max(1, int(rng.lognormal(log_mean, 0.5))), half),
+            replace=False,
+        )
+        for _ in range(half)
+    ]
+    r = np.repeat(np.arange(half, dtype=np.int64), [len(p) for p in picks])
+    c = np.concatenate(picks).astype(np.int64, copy=False)
     v = rng.uniform(0.5, 1.5, len(r)) * coupling
     # Symmetrize C and scale rows/columns by matched magnitudes so the
     # +/- pairing (and hence the spectral symmetry) is preserved.
@@ -334,7 +349,7 @@ def balanced_indefinite_matrix(
     rows = np.concatenate([r_sym, half + r_sym, diag_idx, half + diag_idx])
     cols = np.concatenate([half + c_sym, c_sym, diag_idx, half + diag_idx])
     vals = np.concatenate([v_sym, v_sym, diag_mag, -diag_mag])
-    return COOMatrix((n, n), rows, cols, vals).canonical().to_csr()
+    return COOMatrix((n, n), rows, cols, vals).to_csr()
 
 
 def ill_conditioned_spd_matrix(

@@ -65,19 +65,34 @@ class COOMatrix:
         return len(self.data)
 
     def canonical(self) -> "COOMatrix":
-        """Return a sorted, duplicate-summed, zero-free copy."""
+        """Return a sorted, duplicate-summed, zero-free copy.
+
+        Input already in (row, col) order skips the sort, and input
+        without duplicate coordinates skips the scatter-add; both checks
+        are O(nnz) and the result is bit-identical either way (a stable
+        sort of sorted input is the identity, and a group of one is
+        summed as ``0 + x``, exactly as the scatter-add would).
+        """
         if self.nnz == 0:
             return self
-        order = np.lexsort((self.cols, self.rows))
-        rows, cols, data = self.rows[order], self.cols[order], self.data[order]
+        rows, cols, data = self.rows, self.cols, self.data
+        row_step = np.diff(rows)
+        col_step = np.diff(cols)
+        if (row_step < 0).any() or ((row_step == 0) & (col_step < 0)).any():
+            order = np.lexsort((cols, rows))
+            rows, cols, data = rows[order], cols[order], data[order]
+            row_step = np.diff(rows)
+            col_step = np.diff(cols)
         # Merge duplicate coordinates by summation.
         new_group = np.empty(len(rows), dtype=bool)
         new_group[0] = True
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group_ids = np.cumsum(new_group) - 1
-        n_groups = group_ids[-1] + 1
-        summed = np.zeros(n_groups, dtype=data.dtype)
-        np.add.at(summed, group_ids, data)
+        np.logical_or(row_step != 0, col_step != 0, out=new_group[1:])
+        if new_group.all():
+            summed = data + 0
+        else:
+            group_ids = np.cumsum(new_group) - 1
+            summed = np.zeros(group_ids[-1] + 1, dtype=data.dtype)
+            np.add.at(summed, group_ids, data)
         keep_rows = rows[new_group]
         keep_cols = cols[new_group]
         nonzero = summed != 0

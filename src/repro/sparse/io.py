@@ -11,7 +11,7 @@ variants the SuiteSparse collection uses for the paper's datasets).
 from __future__ import annotations
 
 import gzip
-import io
+import warnings
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -25,11 +25,12 @@ _SUPPORTED_FIELDS = ("real", "integer", "pattern")
 _SUPPORTED_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 
 
-def _open_text(path: str | Path) -> IO[str]:
+def _open_text(path: str | Path, mode: str = "r") -> IO[str]:
+    """Open ``path`` as text, through gzip when it ends in ``.gz``."""
     path = Path(path)
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"))
-    return open(path, "r")
+        return gzip.open(path, mode + "t")
+    return open(path, mode)
 
 
 def _parse_header(line: str) -> tuple[str, str]:
@@ -52,6 +53,47 @@ def _parse_header(line: str) -> tuple[str, str]:
             f"{_SUPPORTED_SYMMETRIES}"
         )
     return field, symmetry
+
+
+_ENTRY_DTYPES = {
+    "pattern": np.dtype([("row", np.int64), ("col", np.int64)]),
+    "real": np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)]),
+}
+
+
+def _read_entries(
+    stream: IO[str], field: str, nnz: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse the entry lines in one ``np.loadtxt`` call.
+
+    Returns 0-based ``(rows, cols, vals)``.  numpy's C parser reads the
+    stream in chunks and rounds floats correctly, so values are
+    bit-identical to ``float(token)``; the file is never held as one
+    string or token list.  Comment and blank lines may appear anywhere.
+    """
+    dtype = _ENTRY_DTYPES["pattern" if field == "pattern" else "real"]
+    try:
+        with warnings.catch_warnings():
+            # An entry-less body is legal (nnz == 0) or caught below.
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data"
+            )
+            entries = np.loadtxt(stream, dtype=dtype, comments="%", ndmin=1)
+    except ValueError as exc:
+        raise SparseFormatError(f"bad {field} entry: {exc}") from None
+    if len(entries) > nnz:
+        raise SparseFormatError("more entries than the size line declares")
+    if len(entries) != nnz:
+        raise SparseFormatError(
+            f"size line declares {nnz} entries, file has {len(entries)}"
+        )
+    rows = entries["row"] - 1  # 1-based in the file
+    cols = entries["col"] - 1
+    if field == "pattern":
+        vals = np.ones(nnz, dtype=np.float64)
+    else:
+        vals = np.ascontiguousarray(entries["val"])
+    return rows, cols, vals
 
 
 def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
@@ -84,34 +126,10 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
             n_rows, n_cols, nnz = (int(tok) for tok in size_line.split())
         except ValueError:
             raise SparseFormatError(f"bad size line: {size_line!r}") from None
+        if min(n_rows, n_cols, nnz) < 0:
+            raise SparseFormatError(f"bad size line: {size_line!r}")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        count = 0
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            if count >= nnz:
-                raise SparseFormatError("more entries than the size line declares")
-            parts = line.split()
-            if field == "pattern":
-                if len(parts) != 2:
-                    raise SparseFormatError(f"bad pattern entry: {line!r}")
-                value = 1.0
-            else:
-                if len(parts) != 3:
-                    raise SparseFormatError(f"bad entry: {line!r}")
-                value = float(parts[2])
-            rows[count] = int(parts[0]) - 1  # 1-based in the file
-            cols[count] = int(parts[1]) - 1
-            vals[count] = value
-            count += 1
-        if count != nnz:
-            raise SparseFormatError(
-                f"size line declares {nnz} entries, file has {count}"
-            )
+        rows, cols, vals = _read_entries(stream, field, nnz)
         if symmetry in ("symmetric", "skew-symmetric"):
             off = rows != cols
             mirror_sign = -1.0 if symmetry == "skew-symmetric" else 1.0
@@ -121,7 +139,7 @@ def read_matrix_market(source: str | Path | IO[str]) -> CSRMatrix:
             rows = np.concatenate([rows, mirrored_rows])
             cols = np.concatenate([cols, mirrored_cols])
             vals = np.concatenate([vals, mirrored_vals])
-        return COOMatrix((n_rows, n_cols), rows, cols, vals).canonical().to_csr()
+        return COOMatrix((n_rows, n_cols), rows, cols, vals).to_csr()
     finally:
         if close:
             stream.close()
@@ -132,11 +150,15 @@ def write_matrix_market(
     destination: str | Path | IO[str],
     comments: Iterable[str] = (),
 ) -> None:
-    """Write a CSR matrix as a general real coordinate Matrix Market file."""
+    """Write a CSR matrix as a general real coordinate Matrix Market file.
+
+    A path ending in ``.gz`` is written gzip-compressed, matching what
+    :func:`read_matrix_market` expects of such a path.
+    """
     stream: IO[str]
     close = False
     if isinstance(destination, (str, Path)):
-        stream = open(destination, "w")
+        stream = _open_text(destination, "w")
         close = True
     else:
         stream = destination

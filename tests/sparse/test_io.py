@@ -88,6 +88,11 @@ class TestRead:
         with pytest.raises(SparseFormatError, match="declares 4"):
             read_matrix_market(io.StringIO(bad))
 
+    def test_negative_entry_count_rejected(self):
+        bad = "%%MatrixMarket matrix coordinate real general\n3 3 -1\n"
+        with pytest.raises(SparseFormatError, match="bad size line"):
+            read_matrix_market(io.StringIO(bad))
+
     def test_excess_entries_rejected(self):
         bad = (
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n"
@@ -95,6 +100,55 @@ class TestRead:
         )
         with pytest.raises(SparseFormatError, match="more entries"):
             read_matrix_market(io.StringIO(bad))
+
+    @pytest.mark.parametrize(
+        "banner, entry",
+        [
+            ("real", "1 x 2.0"),  # non-integer index
+            ("real", "1.5 1 2.0"),  # fractional index
+            ("real", "1 1 abc"),  # non-numeric value
+            ("real", "1 1 2.0 4.0"),  # four tokens
+            ("real", "1 1"),  # two tokens in a real file
+            ("pattern", "1 1 3.0"),  # three tokens in a pattern file
+        ],
+    )
+    def test_malformed_entry_raises_library_error(self, banner, entry):
+        bad = (
+            f"%%MatrixMarket matrix coordinate {banner} general\n2 2 2\n"
+            f"2 2 {'' if banner == 'pattern' else '1.0'}\n{entry}\n"
+        )
+        with pytest.raises(SparseFormatError, match="bad .*entry"):
+            read_matrix_market(io.StringIO(bad))
+
+    def test_comment_and_blank_lines_between_entries(self):
+        text = GENERAL.replace("2 2 3.0\n", "\n% mid-file comment\n2 2 3.0\n\n")
+        interleaved = read_matrix_market(io.StringIO(text))
+        plain = read_matrix_market(io.StringIO(GENERAL))
+        np.testing.assert_array_equal(interleaved.to_dense(), plain.to_dense())
+
+    def test_empty_body_matches_zero_count(self):
+        text = "%%MatrixMarket matrix coordinate real general\n3 2 0\n"
+        matrix = read_matrix_market(io.StringIO(text))
+        assert matrix.shape == (3, 2) and matrix.nnz == 0
+
+    def test_values_parse_bit_identically_to_float(self):
+        tokens = [
+            "0.1",
+            "-2.2250738585072011e-308",
+            "4.9406564584124654e-324",
+            "9007199254740993",
+            "1.7976931348623157e308",
+            "3.141592653589793238462643383279",
+            "-7E-3",
+        ]
+        body = "".join(f"{i + 1} 1 {tok}\n" for i, tok in enumerate(tokens))
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{len(tokens)} 1 {len(tokens)}\n{body}"
+        )
+        matrix = read_matrix_market(io.StringIO(text))
+        expected = np.array([float(tok) for tok in tokens])
+        assert matrix.data.tobytes() == expected.tobytes()
 
     def test_missing_size_line(self):
         bad = "%%MatrixMarket matrix coordinate real general\n% only comments\n"
@@ -111,6 +165,23 @@ class TestRoundtrip:
         write_matrix_market(matrix, path, comments=["generated by tests"])
         recovered = read_matrix_market(path)
         assert recovered.allclose(matrix, rtol=1e-12)
+
+    @pytest.mark.parametrize("suffix", [".mtx", ".mtx.gz"])
+    @pytest.mark.parametrize(
+        "text", [GENERAL, SYMMETRIC, SKEW, PATTERN],
+        ids=["general", "symmetric", "skew-symmetric", "pattern"],
+    )
+    def test_file_roundtrip_is_exact(self, tmp_path, text, suffix):
+        matrix = read_matrix_market(io.StringIO(text))
+        path = tmp_path / f"matrix{suffix}"
+        write_matrix_market(matrix, path, comments=["round trip"])
+        with open(path, "rb") as fh:
+            assert (fh.read(2) == b"\x1f\x8b") == (suffix == ".mtx.gz")
+        recovered = read_matrix_market(path)
+        assert recovered.shape == matrix.shape
+        np.testing.assert_array_equal(recovered.indptr, matrix.indptr)
+        np.testing.assert_array_equal(recovered.indices, matrix.indices)
+        assert recovered.data.tobytes() == matrix.data.tobytes()
 
     def test_gzip_read(self, tmp_path):
         path = tmp_path / "matrix.mtx.gz"
