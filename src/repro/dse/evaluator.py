@@ -36,16 +36,15 @@ from repro.dse.space import (
 from repro.fpga.cost_model import PerformanceModel
 from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel
-from repro.placement import GPU_TENANT_AREA_MM2
 from repro.parallel import ItemResult, WorkItem, run_sharded
-from repro.serve import (
+from repro.placement import GPU_TENANT_AREA_MM2
+from repro.serve.cluster import (
     ClusterConfig,
     ClusterLoadSpec,
-    SolveProfile,
-    build_profiles,
     run_cluster_loadtest,
 )
 from repro.serve.loadgen import source_weights
+from repro.serve.profile import SolveProfile, build_profiles
 from repro.telemetry import Telemetry
 
 SLOT_AREA_HEADROOM = 2.0

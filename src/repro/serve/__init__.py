@@ -63,12 +63,16 @@ from repro.serve.loadgen import (
     read_request_log,
     write_request_log,
 )
-from repro.serve.profile import SolveProfile, build_profile, profile_items
+from repro.serve.profile import (
+    SolveProfile,
+    build_profile,
+    build_profiles,
+    profile_items,
+)
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.service import (
     ServiceConfig,
     ServingReport,
-    build_profiles,
     run_loadtest,
     run_service,
 )

@@ -55,7 +55,6 @@ from repro import telemetry as tm
 from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
 from repro.placement import (
-    CPU_ASSIST_ROUNDTRIP_SECONDS,
     FPGA,
     GPU,
     PlacementDecision,
@@ -79,8 +78,13 @@ from repro.serve.cluster.events import (
 )
 from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.trace import ClusterLoadSpec, RequestTrace
-from repro.serve.profile import DISPATCH_OVERHEAD_SECONDS, SolveProfile
-from repro.serve.service import DRAIN_LIMIT_FACTOR, build_profiles
+from repro.serve.profile import (
+    DRAIN_LIMIT_FACTOR,
+    BatchPrice,
+    SolveProfile,
+    build_profiles,
+    price_batch,
+)
 from repro.serve.stats import format_latency_ms, latency_summary_ms_array
 from repro.telemetry import Telemetry, percentile
 
@@ -573,46 +577,22 @@ class _ClusterSimulation:
         self.failed_source = np.array(
             [p is None for p in self.profiles], dtype=bool
         )
-        # Per-source scalar cost tables: the dispatch loop runs once per
-        # micro-batch, so profile property lookups there would be pure
-        # overhead.  ``*_total`` includes the per-request dispatch cost.
-        # CPU assist is folded into the cold totals here — the dispatch
-        # loop only ever sees the effective cold cost.
-        overhead = DISPATCH_OVERHEAD_SECONDS
-        assist = config.cpu_assist
-        self.warm_total = [
-            (p.warm_service_s + overhead) if p else 0.0
-            for p in self.profiles
-        ]
-        self.cold_total = [
-            (
-                p.cold_service_s + overhead
-                - (
-                    (p.analysis_s - CPU_ASSIST_ROUNDTRIP_SECONDS)
-                    if assist else 0.0
-                )
-            ) if p else 0.0
-            for p in self.profiles
-        ]
-        self.gpu_warm_total = [
-            (p.gpu_warm_service_s + overhead) if p else 0.0
-            for p in self.profiles
-        ]
-        self.gpu_cold_total = [
-            (
-                p.gpu_cold_service_s + overhead
-                - (
-                    (p.analysis_s - CPU_ASSIST_ROUNDTRIP_SECONDS)
-                    if assist else 0.0
-                )
-            ) if p else 0.0
-            for p in self.profiles
-        ]
-        self.swap_s = [
-            p.solver_swap_s if p else 0.0 for p in self.profiles
-        ]
-        self.transfer_s = [
-            p.gpu_transfer_s if p else 0.0 for p in self.profiles
+        # Per-source price tables indexed ``[on_gpu][cold][source]``:
+        # the dispatch loop runs once per micro-batch, so it only does
+        # table lookups.  CPU assist is folded into the cold prices.
+        no_price = BatchPrice(0.0, 0.0, 0.0)
+        self.prices = [
+            [
+                [
+                    price_batch(
+                        p, device_class, cold=cold,
+                        cpu_assist=config.cpu_assist,
+                    ) if p else no_price
+                    for p in self.profiles
+                ]
+                for cold in (False, True)
+            ]
+            for device_class in (FPGA, GPU)
         ]
         self.signatures = [
             p.plan_signature if p else "" for p in self.profiles
@@ -970,6 +950,7 @@ class _ClusterSimulation:
         fill = self.config.batch_fill_ms * 1e-3
         fleet_id = fleet.fleet_id
         assist = self.config.cpu_assist
+        prices = self.prices
         lookup = self.cache.lookup
         lat_idx = self.lat_idx
         lat_arrival = self.lat_arrival
@@ -994,19 +975,25 @@ class _ClusterSimulation:
                 continue
             # Pick the slot with the earliest achievable start; among
             # equal starts prefer a resident-matching slot (same modeled
-            # start, one config load saved), then the lowest index.
+            # start, one config load saved), then an unconfigured slot
+            # (no live configuration evicted), then the lowest index.
             ready = head_arrival + fill
             start = float("inf")
             slot = lo
             for index in range(lo, hi):
                 free = slot_free[index]
                 candidate = free if free > ready else ready
-                if candidate < start or (
-                    candidate == start
-                    and residents[index] == signature
-                    and residents[slot] != signature
-                ):
+                if candidate < start:
                     start = candidate
+                    slot = index
+                elif (
+                    candidate == start
+                    and residents[slot] != signature
+                    and (
+                        residents[index] == signature
+                        or (not residents[index] and residents[slot])
+                    )
+                ):
                     slot = index
             # Leftovers carry to the next epoch once no slot of the
             # class can start inside this one.  Sources later in the
@@ -1028,33 +1015,21 @@ class _ClusterSimulation:
             tier, _, tier_charge = lookup(
                 fleet_id, self.fingerprints[source]
             )
-            if tier == MISS:
-                first_total = (
-                    self.gpu_cold_total[source] if on_gpu
-                    else self.cold_total[source]
-                )
+            cold = tier == MISS
+            if cold:
                 self.cache.publish(fleet_id, self.entries[source])
                 if assist:
                     counts["cpu_assist_offloads"] += 1
-            else:
-                first_total = (
-                    self.gpu_warm_total[source] if on_gpu
-                    else self.warm_total[source]
-                )
+            load_s, head_s, step = prices[on_gpu][cold][source]
             base = start + tier_charge
             if residents[slot] != signature:
+                base += load_s
                 if on_gpu:
-                    base += self.transfer_s[source]
                     fleet.gpu_transfers += 1
                 else:
-                    base += self.swap_s[source]
                     fleet.config_loads += 1
                 residents[slot] = signature
-            step = (
-                self.gpu_warm_total[source] if on_gpu
-                else self.warm_total[source]
-            )
-            first_finish = base + first_total
+            first_finish = base + head_s
             end = first_finish + step * (k - 1)
             slot_free[slot] = end
             fleet.busy_seconds += end - start
@@ -1326,7 +1301,7 @@ def run_cluster(
     design-space explorer memoizes them across points sharing an
     accelerator config); they must cover ``trace.sources`` and have been
     built with the same ``acamar_config`` and ``profile_seed`` a fresh
-    :func:`~repro.serve.service.build_profiles` call would use, or the
+    :func:`~repro.serve.profile.build_profiles` call would use, or the
     byte-determinism contract across callers is void.
     """
     config = config if config is not None else ClusterConfig()

@@ -8,7 +8,13 @@ worker entry point with the same ``(items, config) -> list[ItemResult]``
 shape as the campaign's ``solve_items``, so the service can dispatch
 profiling through :func:`repro.parallel.engine.run_sharded` (pool
 restarts, fault isolation and ordered reassembly included) when warming
-many unique sources, or call it directly in-process for lazy misses.
+many unique sources, or call it directly in-process for lazy misses;
+:func:`build_profiles` does exactly that for both serving tiers.
+
+:func:`price_batch` turns a profile into the device time one
+micro-batch occupies a slot.  It is the only place the serving tiers'
+charge rules live, so the single-fleet scheduler and the cluster price
+the same batch identically.
 
 Host-side analysis latency is modeled with explicit constants below:
 the Matrix Structure unit reads every stored entry (dominance sums plus
@@ -20,13 +26,20 @@ count.  These charges are what a fingerprint-cache hit skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.parallel import ItemResult, WorkItem, source_label
+from repro.parallel import (
+    ItemResult,
+    WorkItem,
+    estimate_cost,
+    run_sharded,
+    source_label,
+)
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
+    GPU,
     estimate_gpu_service,
     structural_class_of,
 )
@@ -51,6 +64,10 @@ micro-batch.  The batch's first member pays the full
 :data:`DISPATCH_OVERHEAD_SECONDS` (descriptor setup, fingerprint lookup);
 members riding the same configured slot reuse the descriptor and the
 lookup and pay only the queue pop."""
+
+DRAIN_LIMIT_FACTOR = 20.0
+"""Both serving tiers refuse to run past ``duration * factor`` draining a
+queue that cannot empty; survivors are shed with an explicit outcome."""
 
 
 @dataclass(frozen=True)
@@ -86,67 +103,9 @@ class SolveProfile:
         return self.attempt_compute_s[-1] if self.attempt_compute_s else 0.0
 
     @property
-    def cold_service_s(self) -> float:
-        """Device+host seconds for a cache-miss solve.
-
-        Full analysis, every fallback attempt, and a solver-region swap
-        per Solver Modifier firing.
-        """
-        swaps = max(0, len(self.attempt_compute_s) - 1)
-        return (
-            self.analysis_s
-            + sum(self.attempt_compute_s)
-            + swaps * self.solver_swap_s
-        )
-
-    @property
     def warm_service_s(self) -> float:
         """Device seconds when analysis and solver choice come from cache."""
         return self.final_compute_s
-
-    @property
-    def attempt_scale(self) -> float:
-        """Fallback-chain inflation: total attempt seconds over final.
-
-        Iteration-count driven and therefore device-independent; used to
-        re-price the cold fallback chain on a GPU tenant without a
-        second ground-truth solve.
-        """
-        if self.final_compute_s <= 0.0:
-            return 1.0
-        return sum(self.attempt_compute_s) / self.final_compute_s
-
-    @property
-    def gpu_cold_service_s(self) -> float:
-        """GPU seconds for a cache-miss solve on a tenant.
-
-        Host analysis is unchanged (it runs on the CPU either way); the
-        fallback-attempt chain scales the warm GPU cost by the same
-        attempt/final ratio the FPGA profile measured.
-        """
-        return self.analysis_s + self.attempt_scale * self.gpu_warm_service_s
-
-    def member_service_s(
-        self, device_class: str, cold: bool, cpu_assist: bool = False
-    ) -> float:
-        """Modeled service seconds of one batch member on ``device_class``.
-
-        With ``cpu_assist`` the cold analysis runs concurrently on the
-        host assist tier: the accelerator pays only the offload
-        round-trip instead of the full structure analysis (the warm
-        path never pays analysis, so assist changes nothing there).
-        """
-        if device_class == "gpu":
-            service = (
-                self.gpu_cold_service_s if cold else self.gpu_warm_service_s
-            )
-        else:
-            service = self.cold_service_s if cold else self.warm_service_s
-        if cold and cpu_assist:
-            service = (
-                service - self.analysis_s + CPU_ASSIST_ROUNDTRIP_SECONDS
-            )
-        return service
 
     def cache_entry(self) -> CacheEntry:
         return CacheEntry(
@@ -158,6 +117,64 @@ class SolveProfile:
             attempt_compute_s=self.attempt_compute_s,
             analysis_s=self.analysis_s,
         )
+
+
+class BatchPrice(NamedTuple):
+    """Modeled seconds one micro-batch occupies its slot.
+
+    Member ``i`` (0-based) of a batch starting at ``start`` finishes at
+    ``start + load_s * [residency miss] + head_s + i * member_s``.
+    """
+
+    load_s: float
+    head_s: float
+    member_s: float
+
+
+def price_batch(
+    profile: SolveProfile, device_class: str, *, cold: bool, cpu_assist: bool
+) -> BatchPrice:
+    """Price one micro-batch of ``profile`` on a ``device_class`` slot.
+
+    The single source of the serving tiers' device-time rules:
+
+    * **Residency miss.**  An FPGA slot pays an ICAP solver-region load
+      (``solver_swap_s``); a GPU tenant pays the PCIe structure upload
+      (``gpu_transfer_s``).
+    * **Head.**  The first member pays full dispatch plus, on a cache
+      miss (``cold``), the host structure analysis and the whole
+      fallback chain: on an FPGA every attempt plus one solver swap per
+      Solver Modifier firing; on a GPU the warm cuSPARSE cost scaled by
+      the attempt/final ratio the FPGA profile measured (iteration
+      driven, hence device independent).  With ``cpu_assist`` the cold
+      analysis runs on the host assist tier and the accelerator pays
+      only the offload round-trip.  A warm head pays the final attempt.
+    * **Members.**  Later members reuse the head's descriptor and
+      configured slot: member dispatch plus the final attempt.
+    """
+    if device_class == GPU:
+        load = profile.gpu_transfer_s
+        warm = profile.gpu_warm_service_s
+        final = profile.final_compute_s
+        chain = sum(profile.attempt_compute_s) / final if final > 0.0 else 1.0
+        cold_service = profile.analysis_s + chain * warm
+    else:
+        load = profile.solver_swap_s
+        warm = profile.final_compute_s
+        swaps = max(0, len(profile.attempt_compute_s) - 1)
+        cold_service = (
+            profile.analysis_s
+            + sum(profile.attempt_compute_s)
+            + swaps * profile.solver_swap_s
+        )
+    head = cold_service if cold else warm
+    if cold and cpu_assist:
+        head = head - profile.analysis_s + CPU_ASSIST_ROUNDTRIP_SECONDS
+    return BatchPrice(
+        load_s=load,
+        head_s=DISPATCH_OVERHEAD_SECONDS + head,
+        member_s=BATCH_MEMBER_DISPATCH_SECONDS + warm,
+    )
 
 
 def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:
@@ -238,3 +255,46 @@ def profile_items(
                     )
                 )
     return results
+
+
+def build_profiles(
+    sources: Sequence[str],
+    config: AcamarConfig,
+    workers: int = 1,
+    seed: int = 1,
+    collector: Telemetry | None = None,
+) -> dict[str, "SolveProfile | str"]:
+    """Profile every unique source once (real solves, memoized).
+
+    ``workers > 1`` fans profiling out through the parallel engine's
+    pool machinery with :func:`profile_items` as the work function;
+    otherwise it runs in-process.  A profiling failure maps the source
+    to its error string — requests for it will be answered with
+    ``FAILED`` responses rather than sinking the run.
+    """
+    items = [
+        WorkItem(
+            index=index,
+            source=source,
+            seed=seed,
+            cost=estimate_cost(source),
+        )
+        for index, source in enumerate(dict.fromkeys(sources))
+    ]
+    collector = collector if collector is not None else Telemetry()
+    if workers > 1 and len(items) > 1:
+        outcome = run_sharded(
+            items, config, workers=workers, work_fn=profile_items
+        )
+        results = outcome.results
+        collector.merge(outcome.telemetry)
+    else:
+        results = profile_items(items, config)
+        for result in results:
+            collector.merge(result.telemetry)
+    profiles: dict[str, SolveProfile | str] = {}
+    for item, result in zip(items, sorted(results, key=lambda r: r.index)):
+        profiles[str(item.source)] = (
+            result.entry if result.entry is not None else result.error
+        )
+    return profiles

@@ -13,8 +13,10 @@ Batching therefore amortizes exactly the costs Acamar's decision loops
 amortize: the structure analysis is charged once per cold batch, the
 ICAP configuration load once per placement on a slot whose resident
 configuration differs (plan-signature **affinity** routes batches to
-slots already configured for them), and every member after the first
-pays only its final-attempt device compute.
+slots already configured for them, then to unconfigured slots), and
+every member after the first pays only member dispatch plus its
+final-attempt device compute.  :func:`repro.serve.profile.price_batch`
+holds these rules for this tier and the cluster tier alike.
 
 Dispatch policy per scheduling tick: groups are considered in
 (priority, arrival) order and dispatch when a slot is free **and** the
@@ -35,9 +37,9 @@ from repro.serve.admission import QueuedRequest
 from repro.serve.api import Outcome, Priority, SolveResponse
 from repro.serve.cache import PlanCache
 from repro.serve.profile import (
-    BATCH_MEMBER_DISPATCH_SECONDS,
     DISPATCH_OVERHEAD_SECONDS,
     SolveProfile,
+    price_batch,
 )
 
 
@@ -118,7 +120,6 @@ class MicroBatchScheduler:
     cache: PlanCache | None = None
     max_batch: int = 8
     batch_window_s: float = 2e-3
-    solver_swap_s: float = 0.0
     device_faults: tuple[DeviceFaultEvent, ...] = ()
     slots: list[FleetSlot] = field(default_factory=list)
     batches: list[BatchRecord] = field(default_factory=list)
@@ -153,12 +154,6 @@ class MicroBatchScheduler:
                 )
                 for j in range(self.fleet.gpu_tenants)
             ]
-        if not self.solver_swap_s:
-            from repro.fpga import PerformanceModel
-
-            self.solver_swap_s = PerformanceModel(
-                self.fleet.device
-            ).reconfig.solver_swap_seconds()
         self._placements: dict[str, PlacementDecision] = {}
 
     # -- placement decisions ------------------------------------------
@@ -287,7 +282,12 @@ class MicroBatchScheduler:
             for slot in free:  # affinity: already-configured slot first
                 if slot.resident_signature == signature:
                     return slot
-        return min(free, key=lambda slot: slot.index)
+        # Then an unconfigured slot, so a miss never evicts a live
+        # configuration while an empty region sits idle.
+        return min(
+            free,
+            key=lambda slot: (slot.resident_signature is not None, slot.index),
+        )
 
     def has_free_slot(self, now: float) -> bool:
         return any(slot.free_at(now) for slot in self.slots)
@@ -311,37 +311,31 @@ class MicroBatchScheduler:
             self.cache is None or slot.resident_signature != signature
         )
         on_gpu = slot.device_class == GPU
-        swap_charge = profile.gpu_transfer_s if on_gpu else self.solver_swap_s
-        cursor = now + (swap_charge if config_load else 0.0)
+        entry = self.cache.get(profile.fingerprint) if self.cache else None
+        batch_warm = entry is not None
+        if self.cache is not None and not batch_warm:
+            self.cache.put(profile.cache_entry())
+        price = price_batch(
+            profile,
+            slot.device_class,
+            cold=not batch_warm,
+            cpu_assist=self.fleet.cpu_assist,
+        )
+        cursor = now + (price.load_s if config_load else 0.0)
         if config_load:
             slot.config_loads += 1
             if on_gpu:
                 tm.count("gpu.transfers")
             else:
                 tm.count("serve.config_loads")
-        entry = self.cache.get(profile.fingerprint) if self.cache else None
-        batch_warm = entry is not None
-        if self.cache is not None and not batch_warm:
-            self.cache.put(profile.cache_entry())
         if not batch_warm and self.fleet.cpu_assist:
             tm.count("placement.cpu_assist_offloads")
         responses: list[SolveResponse] = []
         for position, queued in enumerate(members):
-            # The first member of a cold batch pays the full analysis and
-            # fallback chain; later members share it (micro-batch
-            # amortization) but still count as cache misses — only a
-            # warm batch's members were truly served from the cache.
-            cold_member = not batch_warm and position == 0
-            # Only the batch head pays full dispatch; members on the same
-            # configured slot reuse its descriptor and lookup.
-            dispatch = (
-                DISPATCH_OVERHEAD_SECONDS
-                if position == 0
-                else BATCH_MEMBER_DISPATCH_SECONDS
-            )
-            service = dispatch + profile.member_service_s(
-                slot.device_class, cold_member, self.fleet.cpu_assist
-            )
+            # Later members of a cold batch share the head's analysis
+            # (micro-batch amortization) but still count as cache misses:
+            # only a warm batch's members were truly served from cache.
+            service = price.head_s if position == 0 else price.member_s
             start = cursor
             cursor += service
             responses.append(

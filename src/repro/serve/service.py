@@ -29,7 +29,6 @@ from repro import telemetry as tm
 from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
 from repro.fpga.multitenancy import FleetSpec
-from repro.parallel import WorkItem, estimate_cost, run_sharded
 from repro.serve.admission import AdmissionController, AdmissionVerdict
 from repro.serve.api import (
     PRIORITY_NAMES,
@@ -39,7 +38,7 @@ from repro.serve.api import (
     SolveResponse,
 )
 from repro.serve.cache import PlanCache
-from repro.serve.profile import SolveProfile, profile_items
+from repro.serve.profile import DRAIN_LIMIT_FACTOR, build_profiles
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.stats import format_latency_ms, latency_summary_ms
 from repro.telemetry import Telemetry
@@ -48,10 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover — type name only, avoids eager import
     from repro.serve.loadgen import LoadSpec
 
 SERVING_SCHEMA_VERSION = 1
-
-DRAIN_LIMIT_FACTOR = 20.0
-"""The simulator refuses to run past ``duration * factor`` draining a
-queue that cannot empty; survivors are shed with an explicit response."""
 
 
 @dataclass(frozen=True)
@@ -305,55 +300,6 @@ class ServingReport:
             f"fleet device seconds  : {doc['fleet']['device_seconds']:.4f} "
             f"over {doc['fleet']['total_slots']} slots",
         ]
-
-
-def build_profiles(
-    sources: Sequence[str],
-    config: AcamarConfig,
-    workers: int = 1,
-    seed: int = 1,
-    collector: Telemetry | None = None,
-) -> dict[str, "SolveProfile | str"]:
-    """Profile every unique source once (real solves, memoized).
-
-    ``workers > 1`` fans profiling out through the parallel engine's
-    pool machinery with :func:`profile_items` as the work function;
-    otherwise it runs in-process.  A profiling failure maps the source
-    to its error string — requests for it will be answered with
-    ``FAILED`` responses rather than sinking the run.
-    """
-    unique: list[str] = []
-    seen = set()
-    for source in sources:
-        if source not in seen:
-            seen.add(source)
-            unique.append(source)
-    items = [
-        WorkItem(
-            index=index,
-            source=source,
-            seed=seed,
-            cost=estimate_cost(source),
-        )
-        for index, source in enumerate(unique)
-    ]
-    collector = collector if collector is not None else Telemetry()
-    if workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items, config, workers=workers, work_fn=profile_items
-        )
-        results = outcome.results
-        collector.merge(outcome.telemetry)
-    else:
-        results = profile_items(items, config)
-        for result in results:
-            collector.merge(result.telemetry)
-    profiles: dict[str, SolveProfile | str] = {}
-    for item, result in zip(items, sorted(results, key=lambda r: r.index)):
-        profiles[str(item.source)] = (
-            result.entry if result.entry is not None else result.error
-        )
-    return profiles
 
 
 def run_loadtest(

@@ -117,7 +117,7 @@ class TestAccounting:
         from repro.config import AcamarConfig
         from repro.serve.cluster.service import _ClusterSimulation
         from repro.serve.cluster.trace import generate_trace
-        from repro.serve.service import build_profiles
+        from repro.serve.profile import build_profiles
         from repro.telemetry import Telemetry
 
         spec = small_spec()

@@ -61,7 +61,6 @@ def make_scheduler(cache=None, slots=2, max_batch=4, window=1e-3):
         cache=cache,
         max_batch=max_batch,
         batch_window_s=window,
-        solver_swap_s=SWAP_S,
     )
 
 
@@ -130,8 +129,10 @@ class TestCostCharging:
         queue = [queued(0, "A"), queued(1, "A")]
         responses, _, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
         by_id = {r.request_id: r for r in responses}
+        # Analysis, both attempts and one Solver Modifier swap.
         assert by_id[0].service_s == pytest.approx(
-            DISPATCH_OVERHEAD_SECONDS + prof.cold_service_s
+            DISPATCH_OVERHEAD_SECONDS + prof.analysis_s
+            + sum(prof.attempt_compute_s) + SWAP_S
         )
         # Later members of a fingerprint micro-batch reuse the head's
         # descriptor and lookup: amortized dispatch, warm device time.
@@ -207,7 +208,6 @@ class TestDeviceFaults:
             cache=cache,
             max_batch=4,
             batch_window_s=1e-3,
-            solver_swap_s=SWAP_S,
             device_faults=events,
         )
 
