@@ -26,18 +26,14 @@ import time
 from pathlib import Path
 
 from repro.experiments.report import ExperimentTable
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterLoadSpec,
-    run_cluster_loadtest,
-)
+from repro.serve import ClusterConfig, LoadSpec, run_cluster_loadtest
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_cluster.json"
 BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
 
 GUARD_RELATIVE_TOLERANCE = 0.10
 
-CANONICAL_SPEC = ClusterLoadSpec(
+CANONICAL_SPEC = LoadSpec(
     seed=0, duration_s=60.0, rate_rps=2000.0, mix="repeat-heavy"
 )
 

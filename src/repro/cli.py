@@ -42,13 +42,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import Acamar, AcamarConfig
 from repro.baselines import StaticDesign
 from repro.datasets import dataset_keys, dataset_spec, load_problem, poisson_2d
 from repro.experiments import ALL_EXPERIMENTS
 from repro.fpga import PerformanceModel
+
+if TYPE_CHECKING:  # pragma: no cover — type name only
+    from repro.serve import LoadSpec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -515,23 +518,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if report.entries and converged == len(report.entries) else 1
 
 
+def _load_spec(args: argparse.Namespace) -> "LoadSpec":
+    """The traffic spec of a ``serve``/``loadtest`` invocation."""
+    from repro.serve import LoadSpec
+
+    return LoadSpec(
+        seed=args.seed,
+        duration_s=args.duration,
+        rate_rps=args.rate,
+        mix=args.mix,
+        deadline_ms=args.deadline_ms,
+    )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """``repro loadtest --cluster``: the multi-fleet simulator."""
     from repro.errors import ConfigurationError
-    from repro.serve import (
-        ClusterConfig,
-        ClusterLoadSpec,
-        run_cluster_loadtest,
-    )
+    from repro.serve import ClusterConfig, run_cluster_loadtest
 
     try:
-        spec = ClusterLoadSpec(
-            seed=args.seed,
-            duration_s=args.duration,
-            rate_rps=args.rate,
-            mix=args.mix,
-            deadline_ms=args.deadline_ms,
-        )
+        spec = _load_spec(args)
         config = ClusterConfig(
             initial_fleets=args.fleets,
             min_fleets=args.min_fleets,
@@ -578,12 +584,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_serving(args: argparse.Namespace, command: str) -> int:
-    """Shared implementation of ``serve`` and ``loadtest``."""
+    """Shared implementation of ``serve`` and ``loadtest``.
+
+    Exit codes: 0 when every request is accounted for, 1 when the
+    accounting invariant breaks, 2 for malformed input (a bad flag
+    value or request log), reported as one ``<command>: <message>``
+    line.
+    """
     if command == "loadtest" and getattr(args, "cluster", False):
         return _cmd_cluster(args)
+    from repro.errors import ConfigurationError, ValidationError
     from repro.fpga import FleetSpec
     from repro.serve import (
-        LoadSpec,
         ServiceConfig,
         generate_requests,
         read_request_log,
@@ -591,45 +603,39 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
         write_request_log,
     )
 
-    service_config = ServiceConfig(
-        queue_capacity=args.queue_capacity,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        cache_enabled=not args.no_cache,
-        cache_capacity=args.cache_capacity,
-        fleet=FleetSpec(
-            devices=args.devices,
-            slots_per_device=args.slots_per_device,
-            gpu_tenants=args.gpu_tenants,
-            cpu_assist=args.cpu_assist,
-        ),
-        workers=args.workers,
-    )
-    requests_path = getattr(args, "requests", None)
-    if requests_path:
-        requests = read_request_log(requests_path)
-        meta = {"request_log": str(requests_path)}
-    else:
-        spec = LoadSpec(
-            seed=args.seed,
-            duration_s=args.duration,
-            rate_rps=args.rate,
-            mix=args.mix,
-            deadline_ms=args.deadline_ms,
+    try:
+        service_config = ServiceConfig(
+            queue_capacity=args.queue_capacity,
+            max_batch=args.max_batch,
+            batch_window_ms=args.batch_window_ms,
+            cache_enabled=not args.no_cache,
+            cache_capacity=args.cache_capacity,
+            fleet=FleetSpec(
+                devices=args.devices,
+                slots_per_device=args.slots_per_device,
+                gpu_tenants=args.gpu_tenants,
+                cpu_assist=args.cpu_assist,
+            ),
+            workers=args.workers,
         )
-        requests = generate_requests(spec)
-        meta = {
-            "seed": spec.seed,
-            "duration_s": spec.duration_s,
-            "rate_rps": spec.rate_rps,
-            "mix": spec.mix,
-        }
-        if getattr(args, "save_requests", None):
-            print(
-                f"wrote request log to "
-                f"{write_request_log(requests, args.save_requests)}"
-            )
-    report = run_service(requests, service_config, meta=meta)
+        requests_path = getattr(args, "requests", None)
+        if requests_path:
+            requests = read_request_log(requests_path)
+            meta: dict[str, Any] = {"request_log": str(requests_path)}
+        else:
+            spec = _load_spec(args)
+            requests = generate_requests(spec)
+            meta = spec.as_dict()
+            if getattr(args, "save_requests", None):
+                print(
+                    f"wrote request log to "
+                    f"{write_request_log(requests, args.save_requests)}"
+                )
+        report = run_service(requests, service_config, meta=meta)
+    except (ConfigurationError, ValidationError) as exc:
+        message = exc.args[0] if exc.args else str(exc)
+        print(f"{command}: {message}", file=sys.stderr)
+        return 2
     print(f"{command}: served {len(requests)} requests "
           f"({'no cache' if args.no_cache else 'fingerprint cache on'})")
     for line in report.summary_lines():

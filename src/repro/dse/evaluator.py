@@ -38,12 +38,8 @@ from repro.fpga.device import ALVEO_U55C, FPGADevice
 from repro.fpga.energy import EnergyModel
 from repro.parallel import ItemResult, WorkItem, run_sharded
 from repro.placement import GPU_TENANT_AREA_MM2
-from repro.serve.cluster import (
-    ClusterConfig,
-    ClusterLoadSpec,
-    run_cluster_loadtest,
-)
-from repro.serve.loadgen import source_weights
+from repro.serve.cluster import ClusterConfig, run_cluster_loadtest
+from repro.serve.loadgen import LoadSpec, source_weights
 from repro.serve.profile import SolveProfile, build_profiles
 from repro.telemetry import Telemetry
 
@@ -54,32 +50,24 @@ the same 2x partial-region budget the fleet designer
 
 _PROFILE_MEMO: dict[str, dict[str, "SolveProfile | str"]] = {}
 """Per-process cold-profile cache keyed by the profiling-relevant
-config: sources, seed, and the solver-plan fields of the Acamar
-config.  Shapes differing only in serving knobs (cache, queue, fleet
-bounds, slot count) share one entry."""
+config: sources and the solver-plan fields of the Acamar config.
+Shapes differing only in serving knobs (cache, queue, fleet bounds,
+slot count) share one entry."""
 
 
-def _profile_key(
-    sources: Sequence[str], seed: int, acamar: AcamarConfig
-) -> str:
+def _profile_key(sources: Sequence[str], acamar: AcamarConfig) -> str:
     return json.dumps(
-        {
-            "sources": list(sources),
-            "seed": seed,
-            "acamar": acamar.to_dict(),
-        },
+        {"sources": list(sources), "acamar": acamar.to_dict()},
         sort_keys=True,
     )
 
 
 def _profiles_for(
-    sources: Sequence[str], seed: int, acamar: AcamarConfig
+    sources: Sequence[str], acamar: AcamarConfig
 ) -> dict[str, "SolveProfile | str"]:
-    key = _profile_key(sources, seed, acamar)
+    key = _profile_key(sources, acamar)
     if key not in _PROFILE_MEMO:
-        _PROFILE_MEMO[key] = build_profiles(
-            list(sources), acamar, workers=1, seed=seed
-        )
+        _PROFILE_MEMO[key] = build_profiles(list(sources), acamar, workers=1)
     return _PROFILE_MEMO[key]
 
 
@@ -145,8 +133,8 @@ def evaluate_point(
     with tm.span("dse.point_eval"):
         acamar = acamar_config_for(shape, base_config)
         config = cluster_config_for(shape)
-        profiles = _profiles_for(sources, config.profile_seed, acamar)
-        spec = ClusterLoadSpec(
+        profiles = _profiles_for(sources, acamar)
+        spec = LoadSpec(
             seed=seed,
             duration_s=traffic.duration_s,
             rate_rps=traffic.rate_rps,

@@ -46,7 +46,6 @@ from repro.serve.cache import (
 from repro.serve.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
-    ClusterLoadSpec,
     ClusterReport,
     FleetFaultEvent,
     ForcedScaleEvent,
@@ -84,7 +83,6 @@ __all__ = [
     "AutoscalerPolicy",
     "CacheEntry",
     "ClusterConfig",
-    "ClusterLoadSpec",
     "ClusterReport",
     "DeviceFaultEvent",
     "FleetFaultEvent",

@@ -37,7 +37,6 @@ from repro.serve.cluster.service import (
     run_cluster_loadtest,
 )
 from repro.serve.cluster.trace import (
-    ClusterLoadSpec,
     RequestTrace,
     generate_trace,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
     "ClusterConfig",
-    "ClusterLoadSpec",
     "ClusterReport",
     "FleetFaultEvent",
     "ForcedScaleEvent",

@@ -77,7 +77,8 @@ from repro.serve.cluster.events import (
     TimerWheel,
 )
 from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.serve.cluster.trace import ClusterLoadSpec, RequestTrace
+from repro.serve.cluster.trace import RequestTrace
+from repro.serve.loadgen import LoadSpec
 from repro.serve.profile import (
     DRAIN_LIMIT_FACTOR,
     BatchPrice,
@@ -147,7 +148,6 @@ class ClusterConfig:
     autoscale: bool = True
     policy: AutoscalerPolicy = field(default_factory=AutoscalerPolicy)
     workers: int = 1
-    profile_seed: int = 1
     fleet_faults: tuple[FleetFaultEvent, ...] = ()
     forced_scale: tuple[ForcedScaleEvent, ...] = ()
 
@@ -1300,7 +1300,7 @@ def run_cluster(
     ``profiles`` lets a caller inject pre-built source profiles (the
     design-space explorer memoizes them across points sharing an
     accelerator config); they must cover ``trace.sources`` and have been
-    built with the same ``acamar_config`` and ``profile_seed`` a fresh
+    built with the same ``acamar_config`` and the default seed a fresh
     :func:`~repro.serve.profile.build_profiles` call would use, or the
     byte-determinism contract across callers is void.
     """
@@ -1315,7 +1315,6 @@ def run_cluster(
                 list(trace.sources),
                 acamar_config,
                 workers=config.workers,
-                seed=config.profile_seed,
                 collector=collector,
             )
         simulation = _ClusterSimulation(trace, config, profiles)
@@ -1352,7 +1351,7 @@ def run_cluster(
 
 
 def run_cluster_loadtest(
-    spec: ClusterLoadSpec,
+    spec: LoadSpec,
     config: ClusterConfig | None = None,
     acamar_config: AcamarConfig | None = None,
     profiles: "dict[str, SolveProfile | str] | None" = None,

@@ -1,9 +1,7 @@
 """Array-native request traces: cluster-scale load, zero Python objects.
 
-A ``--duration 3600 --rate 10000`` run is ~36 million requests.  The
-single-fleet generator's one-``SolveRequest``-per-arrival stream
-(:mod:`repro.serve.loadgen`) would need tens of gigabytes and minutes
-of allocation alone, so the cluster tier keeps the whole trace as a
+A ``--duration 3600 --rate 10000`` run is ~36 million requests, far too
+many to hold as one Python object each, so the trace is a
 struct-of-arrays :class:`RequestTrace`:
 
 - ``arrival_s``  — float64, sorted, rounded to 9 decimals (the repo's
@@ -12,14 +10,17 @@ struct-of-arrays :class:`RequestTrace`:
 - ``priority``   — int8 :class:`~repro.serve.api.Priority` value,
 - ``deadline_s`` — float64 absolute deadline, ``+inf`` meaning none.
 
-Generation is fully vectorized and reuses the *same* statistical model
-as the object generator — :func:`repro.serve.loadgen.source_weights`
-for the dataset mix, ``PRIORITY_SHARES`` for the class split, Poisson
-arrivals with square-wave bursts — so "repeat-heavy at 120 rps" means
-the same workload at either tier.  Bursty arrivals use exact thinning:
-draw a homogeneous Poisson process at the peak rate, then keep each
-arrival with probability ``rate(t) / peak``.  One seeded PCG64
-generator drives everything, so a seed fully determines the trace.
+:func:`generate_trace` is the repo's only arrival sampler.  It draws a
+:class:`~repro.serve.loadgen.LoadSpec` — the dataset mix from
+:func:`~repro.serve.loadgen.source_weights`, the class split from
+``PRIORITY_SHARES``, Poisson arrivals with the fixed square-wave burst
+shape — fully vectorized.  The single-fleet tier reads the same trace
+through :func:`~repro.serve.loadgen.generate_requests`, so
+"repeat-heavy at 120 rps" means the same workload at either tier.
+Bursty arrivals use exact thinning: draw a homogeneous Poisson process
+at the peak rate, then keep each arrival with probability
+``rate(t) / peak``.  One seeded PCG64 generator drives everything, so a
+seed fully determines the trace.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.serve.api import PRIORITY_NAMES, Priority
-from repro.serve.loadgen import PRIORITY_SHARES, TRAFFIC_MIXES, source_weights
+from repro.serve.loadgen import (
+    BURST_FACTOR,
+    BURST_PERIOD_S,
+    BURST_S,
+    PRIORITY_SHARES,
+    LoadSpec,
+    source_weights,
+)
 
 NO_DEADLINE = np.inf
 """Sentinel in ``deadline_s`` for requests without a deadline."""
@@ -41,43 +48,8 @@ _GAP_BLOCK = 262_144
 is covered — a handful of vectorized draws even at 36M arrivals."""
 
 
-@dataclass(frozen=True)
-class ClusterLoadSpec:
-    """Parameters of one synthetic cluster traffic run."""
-
-    seed: int = 0
-    duration_s: float = 60.0
-    rate_rps: float = 1000.0
-    mix: str = "repeat-heavy"
-    deadline_ms: float = 100.0
-    burst_factor: float = 4.0
-    burst_s: float = 0.25
-    burst_period_s: float = 1.0
-    sources: tuple[str, ...] = ()  # empty → the Table II registry
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration must be > 0 s, got {self.duration_s}"
-            )
-        if self.rate_rps <= 0:
-            raise ConfigurationError(
-                f"rate must be > 0 rps, got {self.rate_rps}"
-            )
-        if self.mix not in TRAFFIC_MIXES:
-            raise ConfigurationError(
-                f"unknown traffic mix {self.mix!r}; "
-                f"expected one of {TRAFFIC_MIXES}"
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "rate_rps": self.rate_rps,
-            "mix": self.mix,
-            "deadline_ms": self.deadline_ms,
-        }
+ClusterLoadSpec = LoadSpec
+"""Former name of the one traffic spec, kept for existing importers."""
 
 
 @dataclass
@@ -107,10 +79,10 @@ class RequestTrace:
         }
 
 
-def _arrivals(spec: ClusterLoadSpec, rng: np.random.Generator) -> np.ndarray:
+def _arrivals(spec: LoadSpec, rng: np.random.Generator) -> np.ndarray:
     """Sorted arrival timestamps over ``[0, duration_s)``."""
     bursty = spec.mix == "bursty"
-    peak = spec.rate_rps * (spec.burst_factor if bursty else 1.0)
+    peak = spec.rate_rps * (BURST_FACTOR if bursty else 1.0)
     chunks: list[np.ndarray] = []
     t = 0.0
     while t < spec.duration_s:
@@ -123,16 +95,14 @@ def _arrivals(spec: ClusterLoadSpec, rng: np.random.Generator) -> np.ndarray:
     if bursty:
         # Exact thinning of the peak-rate process: accept with
         # probability rate(t)/peak.  In-burst phases accept everything;
-        # off-burst phases accept 1/burst_factor.
-        phase = arrivals % spec.burst_period_s
-        accept_p = np.where(
-            phase < spec.burst_s, 1.0, 1.0 / spec.burst_factor
-        )
+        # off-burst phases accept 1/BURST_FACTOR.
+        phase = arrivals % BURST_PERIOD_S
+        accept_p = np.where(phase < BURST_S, 1.0, 1.0 / BURST_FACTOR)
         arrivals = arrivals[rng.random(arrivals.shape[0]) < accept_p]
     return np.round(arrivals, 9)
 
 
-def generate_trace(spec: ClusterLoadSpec) -> RequestTrace:
+def generate_trace(spec: LoadSpec) -> RequestTrace:
     """Produce the full arrival-ordered trace for ``spec``."""
     if spec.sources:
         keys: tuple[str, ...] = tuple(spec.sources)

@@ -1,13 +1,13 @@
-"""Deterministic synthetic load generation.
+"""The traffic model both serving tiers share.
 
 Serving behaviour is governed by the *shape* of traffic — arrival
 burstiness, how concentrated the dataset mix is, how tight deadlines
-run — so the generator models each dimension explicitly:
+run — and one :class:`LoadSpec` describes all three:
 
-- **arrival process**: exponential inter-arrivals (Poisson traffic) at
-  ``rate_rps``, optionally modulated by a square-wave burst pattern
-  (``burst_factor``× the base rate for ``burst_s`` out of every
-  ``burst_period_s``), the classic on/off overload model,
+- **arrival process**: Poisson arrivals at ``rate_rps``; the ``bursty``
+  mix modulates them with a fixed square wave (``BURST_FACTOR``× the
+  base rate for ``BURST_S`` out of every ``BURST_PERIOD_S``), the
+  classic on/off overload model,
 - **dataset mix**: named mixes over the Table II registry — ``uniform``
   spreads requests evenly (cache-hostile), ``repeat-heavy``
   concentrates 80% of traffic on a small hot set (cache-friendly, the
@@ -16,22 +16,26 @@ run — so the generator models each dimension explicitly:
 - **priority/deadline mix**: a fixed fraction of traffic is interactive
   with a relative deadline; the rest splits batch/best-effort.
 
-Everything derives from one ``numpy`` PCG64 generator seeded by the
-caller, so a seed fully determines the request log.  Logs round-trip
-through JSONL (:func:`write_request_log` / :func:`read_request_log`)
-for replay and offline analysis.
+The one arrival sampler is the cluster tier's vectorized
+:func:`repro.serve.cluster.trace.generate_trace`;
+:func:`generate_requests` is a per-request view of that trace for the
+single-fleet simulator, so a seed means the same traffic at either
+tier.  Logs round-trip through JSONL (:func:`write_request_log` /
+:func:`read_request_log`) for replay and offline analysis; the reader
+rejects any log the simulator could not account for.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ValidationError
 from repro.serve.api import Priority, SolveRequest
 
 HOT_SET_SIZE = 6
@@ -39,24 +43,30 @@ HOT_SET_SHARE = 0.8
 """``repeat-heavy`` sends this share of traffic to the first
 ``HOT_SET_SIZE`` registry keys (weighted geometrically within the set)."""
 
+BURST_FACTOR = 4.0
+BURST_S = 0.25
+BURST_PERIOD_S = 1.0
+"""Burst shape of the ``bursty`` mix: ``BURST_FACTOR``× the base rate
+for the first ``BURST_S`` of every ``BURST_PERIOD_S``."""
+
 PRIORITY_SHARES = ((Priority.INTERACTIVE, 0.3), (Priority.BATCH, 0.5),
                    (Priority.BEST_EFFORT, 0.2))
 
 TRAFFIC_MIXES = ("uniform", "repeat-heavy", "bursty")
 
+_LOG_KEYS = ("request_id", "source", "arrival_s")
+"""Keys every request-log line must carry."""
+
 
 @dataclass(frozen=True)
 class LoadSpec:
-    """Parameters of one synthetic traffic run."""
+    """Parameters of one synthetic traffic run, at either serving tier."""
 
     seed: int = 0
     duration_s: float = 5.0
     rate_rps: float = 120.0
     mix: str = "repeat-heavy"
     deadline_ms: float = 100.0
-    burst_factor: float = 4.0
-    burst_s: float = 0.25
-    burst_period_s: float = 1.0
     sources: tuple[str, ...] = ()  # empty → the Table II registry
 
     def __post_init__(self) -> None:
@@ -73,14 +83,26 @@ class LoadSpec:
                 f"unknown traffic mix {self.mix!r}; "
                 f"expected one of {TRAFFIC_MIXES}"
             )
+        if not self.deadline_ms > 0:
+            raise ConfigurationError(
+                f"deadline must be > 0 ms, got {self.deadline_ms}"
+            )
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "seed": self.seed,
+            "duration_s": self.duration_s,
+            "rate_rps": self.rate_rps,
+            "mix": self.mix,
+            "deadline_ms": self.deadline_ms,
+        }
 
 
 def source_weights(mix: str, n_keys: int) -> np.ndarray:
     """Per-source probability weights of traffic mix ``mix``.
 
-    Shared by the object-stream generator below and the cluster tier's
-    vectorized trace generator (:mod:`repro.serve.cluster.trace`), so
-    "repeat-heavy" means the same skew in both.
+    Drawn from by the trace generator and read by the design-space
+    explorer, which weights per-source work by arrival probability.
     """
     if mix not in TRAFFIC_MIXES:
         raise ConfigurationError(
@@ -102,63 +124,33 @@ def source_weights(mix: str, n_keys: int) -> np.ndarray:
     return weights
 
 
-def _source_weights(spec: LoadSpec, keys: Sequence[str]) -> np.ndarray:
-    return source_weights(spec.mix, len(keys))
-
-
-def _instantaneous_rate(spec: LoadSpec, t: float) -> float:
-    if spec.mix != "bursty":
-        return spec.rate_rps
-    phase = t % spec.burst_period_s
-    if phase < spec.burst_s:
-        return spec.rate_rps * spec.burst_factor
-    return spec.rate_rps
-
-
 def generate_requests(spec: LoadSpec) -> list[SolveRequest]:
-    """Produce the full request log for ``spec`` (arrival-ordered)."""
-    if spec.sources:
-        keys: tuple[str, ...] = tuple(spec.sources)
-    else:
-        from repro.datasets.suite import dataset_keys
+    """The request log for ``spec``: one request per row of its trace.
 
-        keys = dataset_keys()
-    rng = np.random.default_rng(spec.seed)
-    weights = _source_weights(spec, keys)
-    priorities = [p for p, _ in PRIORITY_SHARES]
-    priority_weights = np.array([w for _, w in PRIORITY_SHARES])
-    requests: list[SolveRequest] = []
-    t = 0.0
-    request_id = 0
-    while True:
-        # Thinning-free non-homogeneous sampling: draw the gap at the
-        # *current* instantaneous rate.  Exact for piecewise-constant
-        # rates whose pieces are long relative to the gap, which holds
-        # for the burst parameters above.
-        t += float(rng.exponential(1.0 / _instantaneous_rate(spec, t)))
-        # Quantize to the log precision (9 decimals) so a live run and a
-        # replay of its saved request log see bit-identical arrivals.
-        t = round(t, 9)
-        if t >= spec.duration_s:
-            break
-        source = keys[int(rng.choice(len(keys), p=weights))]
-        priority = priorities[
-            int(rng.choice(len(priorities), p=priority_weights))
-        ]
-        deadline = None
-        if priority is Priority.INTERACTIVE:
-            deadline = round(t + spec.deadline_ms * 1e-3, 9)
-        requests.append(
-            SolveRequest(
-                request_id=request_id,
-                source=source,
-                arrival_s=t,
-                priority=priority,
-                deadline_s=deadline,
-            )
+    A view of :func:`repro.serve.cluster.trace.generate_trace` — row
+    ``i`` becomes request id ``i`` and a ``+inf`` deadline becomes
+    ``None`` — so both serving tiers see the same traffic for a seed.
+    """
+    # Imported here: the trace module imports this one.
+    from repro.serve.cluster.trace import generate_trace
+
+    trace = generate_trace(spec)
+    return [
+        SolveRequest(
+            request_id=request_id,
+            source=trace.sources[source_idx],
+            arrival_s=arrival,
+            priority=Priority(priority),
+            deadline_s=None if deadline == math.inf else deadline,
         )
-        request_id += 1
-    return requests
+        for request_id, (source_idx, arrival, priority, deadline) in
+        enumerate(zip(
+            trace.source_idx.tolist(),
+            trace.arrival_s.tolist(),
+            trace.priority.tolist(),
+            trace.deadline_s.tolist(),
+        ))
+    ]
 
 
 def write_request_log(
@@ -172,10 +164,46 @@ def write_request_log(
 
 
 def read_request_log(path: str | Path) -> list[SolveRequest]:
-    requests = [
-        SolveRequest.from_dict(json.loads(line))
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    """Parse a JSONL request log, arrival-ordered.
+
+    Every non-blank line must be a JSON object with ``request_id``,
+    ``source`` and a finite, non-negative ``arrival_s``, and ids must be
+    unique: the scheduler tracks queued requests by id, so a duplicate
+    would silently lose a request.  Anything else raises
+    :class:`~repro.errors.ValidationError` naming the line.
+    """
+    requests: list[SolveRequest] = []
+    seen: set[int] = set()
+    lines = Path(path).read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{where}: not JSON ({exc.msg})") from None
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{where}: not a JSON object")
+        missing = [key for key in _LOG_KEYS if key not in payload]
+        if missing:
+            raise ValidationError(
+                f"{where}: missing key(s) {', '.join(missing)}"
+            )
+        try:
+            request = SolveRequest.from_dict(payload)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        if not (math.isfinite(request.arrival_s) and request.arrival_s >= 0):
+            raise ValidationError(
+                f"{where}: arrival_s must be finite and >= 0, "
+                f"got {request.arrival_s}"
+            )
+        if request.request_id in seen:
+            raise ValidationError(
+                f"{where}: duplicate request_id {request.request_id}"
+            )
+        seen.add(request.request_id)
+        requests.append(request)
     requests.sort(key=lambda r: (r.arrival_s, r.request_id))
     return requests

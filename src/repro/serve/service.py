@@ -4,7 +4,7 @@ virtual clock.
 :func:`run_service` consumes a request log (usually from
 :mod:`repro.serve.loadgen`) and produces a :class:`ServingReport`.  The
 simulation is **discrete-event over scheduling ticks**: virtual time
-advances in fixed quanta (``tick_ms``); each tick admits the arrivals it
+advances in fixed quanta (``TICK_MS``); each tick admits the arrivals it
 covers, expires lapsed deadlines, and lets the scheduler place ripe
 micro-batches on free fleet slots.  All latencies are simulated —
 device compute from the FPGA cost model, analysis/configuration charges
@@ -48,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover — type name only, avoids eager import
 
 SERVING_SCHEMA_VERSION = 1
 
+TICK_MS = 0.5
+"""Scheduling quantum of the virtual clock, in milliseconds."""
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -56,19 +59,13 @@ class ServiceConfig:
     queue_capacity: int = 64
     max_batch: int = 8
     batch_window_ms: float = 1.0
-    tick_ms: float = 0.5
     cache_enabled: bool = True
     cache_capacity: int = 256
     fleet: FleetSpec = field(default_factory=FleetSpec)
     workers: int = 1
-    profile_seed: int = 1
     device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.tick_ms <= 0:
-            raise ConfigurationError(
-                f"tick must be > 0 ms, got {self.tick_ms}"
-            )
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
@@ -90,7 +87,7 @@ class ServiceConfig:
             "queue_capacity": self.queue_capacity,
             "max_batch": self.max_batch,
             "batch_window_ms": self.batch_window_ms,
-            "tick_ms": self.tick_ms,
+            "tick_ms": TICK_MS,
             "cache_enabled": self.cache_enabled,
             "cache_capacity": self.cache_capacity,
             "fleet": fleet,
@@ -310,15 +307,9 @@ def run_loadtest(
     """Generate synthetic traffic for ``spec`` and serve it."""
     from repro.serve.loadgen import generate_requests
 
-    requests = generate_requests(spec)
-    meta = {
-        "seed": spec.seed,
-        "duration_s": spec.duration_s,
-        "rate_rps": spec.rate_rps,
-        "mix": spec.mix,
-    }
     return run_service(
-        requests, service_config, acamar_config, meta=meta
+        generate_requests(spec), service_config, acamar_config,
+        meta=spec.as_dict(),
     )
 
 
@@ -342,7 +333,6 @@ def run_service(
             [r.source for r in requests],
             acamar_config,
             workers=service_config.workers,
-            seed=service_config.profile_seed,
             collector=collector,
         )
         cache = (
@@ -363,7 +353,7 @@ def run_service(
         )
         responses: list[SolveResponse] = []
         queue_depth_samples: list[int] = []
-        tick = service_config.tick_ms * 1e-3
+        tick = TICK_MS * 1e-3
         duration = requests[-1].arrival_s if requests else 0.0
         drain_limit = max(duration, tick) * DRAIN_LIMIT_FACTOR
         pointer = 0

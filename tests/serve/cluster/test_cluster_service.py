@@ -6,11 +6,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve.cluster import (
     ClusterConfig,
-    ClusterLoadSpec,
     FleetFaultEvent,
     ForcedScaleEvent,
     run_cluster_loadtest,
 )
+from repro.serve.loadgen import LoadSpec
 
 SOURCES = ("Wa", "Li", "2C")
 
@@ -21,7 +21,7 @@ def small_spec(**overrides):
         sources=SOURCES,
     )
     base.update(overrides)
-    return ClusterLoadSpec(**base)
+    return LoadSpec(**base)
 
 
 def small_config(**overrides):

@@ -26,22 +26,23 @@ from repro.serve import (
     run_cluster_loadtest,
     run_service,
 )
-from repro.serve.cluster.service import ClusterConfig, ClusterLoadSpec
+from repro.serve.cluster.service import ClusterConfig
 from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 
-# Pre-PR pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA
-# 1x3 fleet.  The placement backend must not move any of them.
+# Pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA 1x3
+# fleet, with the request log drawn from the shared trace generator.
+# The placement backend must not move any of them.
 SERVE_GOLD = {
-    "completed": 234,
-    "p50_ms": 1.713229,
-    "p99_ms": 10.366278,
-    "batches": 227,
-    "config_loads": 105,
-    "device_seconds": 0.672930512,
-    "hit_rate": 0.897435897,
+    "completed": 235,
+    "p50_ms": 3.581381,
+    "p99_ms": 9.27491,
+    "batches": 225,
+    "config_loads": 113,
+    "device_seconds": 0.741131475,
+    "hit_rate": 0.89787234,
 }
 
-# Pinned numbers: ClusterLoadSpec(seed=3, 12 s, 400 rps, repeat-heavy)
+# Pinned numbers: LoadSpec(seed=3, 12 s, 400 rps, repeat-heavy)
 # on 2..4 fleets of 3 FPGA slots, with batches priced by ``price_batch``
 # (later members pay member dispatch) and ties broken toward an
 # unconfigured slot.
@@ -70,7 +71,7 @@ def _serve_report(fleet: FleetSpec, workers: int = 1):
 
 
 def _cluster_report(config: ClusterConfig):
-    spec = ClusterLoadSpec(
+    spec = LoadSpec(
         seed=3, duration_s=12.0, rate_rps=400.0, mix="repeat-heavy"
     )
     return run_cluster_loadtest(spec, config)

@@ -36,8 +36,6 @@ def baseline_report():
 class TestServiceConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(tick_ms=0.0)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(workers=0)
 
     def test_workers_excluded_from_report_dict(self):

@@ -210,6 +210,53 @@ class TestServe:
         assert document["counters"]["serve.requests"] > 0
 
 
+class TestServingExitContract:
+    """Malformed serving input exits 2 with one ``<command>:`` line."""
+
+    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--duration", "0"],
+            ["--max-batch", "0"],
+            ["--queue-capacity", "0"],
+            ["--workers", "0"],
+            ["--devices", "0"],
+            ["--cache-capacity", "0"],
+            ["--deadline-ms", "-5"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    def test_bad_flag_exits_two(self, capsys, command, flags):
+        assert main([
+            command, "--seed", "0", "--duration", "0.5", "--rate", "40",
+            *flags,
+        ]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{command}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            '{"request_id": 0, "source": "Wa", "arrival_s": 0.1}\n'
+            '{"request_id": 0, "source": "Li", "arrival_s": 0.1}\n',
+            '{"request_id": 0, "arrival_s": 0.1}\n',
+            "not json\n",
+        ],
+        ids=["duplicate-id", "missing-source", "non-json"],
+    )
+    def test_malformed_request_log_exits_two(self, tmp_path, capsys, log):
+        path = tmp_path / "req.jsonl"
+        path.write_text(log)
+        assert main(["serve", "--requests", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"serve: {path}:")
+        assert "invariant" not in err
+
+
 class TestClusterLoadtest:
     def test_cluster_summary_and_report(self, tmp_path, capsys):
         import json
