@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.experiments.report import ExperimentTable
 from repro.fpga import FleetSpec
-from repro.serve import LoadSpec, ServiceConfig, run_loadtest
+from repro.serve import LoadSpec, fleet_config, run_loadtest
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_placement.json"
 BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
@@ -73,7 +73,10 @@ def measure() -> dict:
             sources=SOURCES,
         )
         records = {
-            name: _mode_record(run_loadtest(spec, ServiceConfig(fleet=fleet)))
+            name: _mode_record(run_loadtest(spec, fleet_config(
+                slots_per_fleet=fleet.total_slots,
+                gpu_tenants_per_fleet=fleet.gpu_tenants,
+            )))
             for name, fleet in FLEETS.items()
         }
         mixed = records["mixed"]

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from repro.experiments.report import ExperimentTable
-from repro.serve import LoadSpec, ServiceConfig, run_loadtest
+from repro.serve import LoadSpec, fleet_config, run_loadtest
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 BANDS_PATH = Path(__file__).resolve().parent / "reference_bands.json"
@@ -46,9 +46,7 @@ def _mode_record(report) -> dict:
 
 def measure() -> dict:
     warm = run_loadtest(CANONICAL_SPEC)
-    cold = run_loadtest(
-        CANONICAL_SPEC, ServiceConfig(cache_enabled=False)
-    )
+    cold = run_loadtest(CANONICAL_SPEC, fleet_config(cache_capacity=0))
     warm_record = _mode_record(warm)
     cold_record = _mode_record(cold)
     return {

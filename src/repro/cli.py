@@ -531,6 +531,18 @@ def _load_spec(args: argparse.Namespace) -> "LoadSpec":
     )
 
 
+def _check_cache_capacity(args: argparse.Namespace) -> None:
+    """``--cache-capacity`` sizes a cache; only ``--no-cache`` turns the
+    cache off (a capacity of 0 inside the simulator)."""
+    from repro.errors import ConfigurationError
+
+    if args.cache_capacity < 1:
+        raise ConfigurationError(
+            f"cache capacity must be >= 1, got {args.cache_capacity} "
+            "(--no-cache disables the plan cache)"
+        )
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """``repro loadtest --cluster``: the multi-fleet simulator."""
     from repro.errors import ConfigurationError
@@ -538,6 +550,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     try:
         spec = _load_spec(args)
+        _check_cache_capacity(args)
         config = ClusterConfig(
             initial_fleets=args.fleets,
             min_fleets=args.min_fleets,
@@ -596,7 +609,7 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     from repro.errors import ConfigurationError, ValidationError
     from repro.fpga import FleetSpec
     from repro.serve import (
-        ServiceConfig,
+        fleet_config,
         generate_requests,
         read_request_log,
         run_service,
@@ -604,18 +617,21 @@ def _cmd_serving(args: argparse.Namespace, command: str) -> int:
     )
 
     try:
-        service_config = ServiceConfig(
-            queue_capacity=args.queue_capacity,
+        _check_cache_capacity(args)
+        fleet = FleetSpec(
+            devices=args.devices,
+            slots_per_device=args.slots_per_device,
+            gpu_tenants=args.gpu_tenants,
+            cpu_assist=args.cpu_assist,
+        )
+        service_config = fleet_config(
+            slots_per_fleet=fleet.total_slots,
+            gpu_tenants_per_fleet=fleet.gpu_tenants,
+            cpu_assist=fleet.cpu_assist,
             max_batch=args.max_batch,
-            batch_window_ms=args.batch_window_ms,
-            cache_enabled=not args.no_cache,
-            cache_capacity=args.cache_capacity,
-            fleet=FleetSpec(
-                devices=args.devices,
-                slots_per_device=args.slots_per_device,
-                gpu_tenants=args.gpu_tenants,
-                cpu_assist=args.cpu_assist,
-            ),
+            batch_fill_ms=args.batch_window_ms,
+            queue_capacity=args.queue_capacity,
+            cache_capacity=0 if args.no_cache else args.cache_capacity,
             workers=args.workers,
         )
         requests_path = getattr(args, "requests", None)

@@ -32,8 +32,7 @@ from repro import telemetry as tm
 from repro.serve.api import SolveRequest
 from repro.serve.cluster.service import ClusterConfig
 from repro.serve.loadgen import LoadSpec, generate_requests
-from repro.serve.service import ServiceConfig
-from repro.fpga.multitenancy import FleetSpec
+from repro.serve.service import fleet_config
 from repro.solvers.base import SolveResult, SolveStatus
 from repro.faults.plan import (
     ClusterFaultSchedule,
@@ -198,21 +197,22 @@ def storm_requests(
 
 def chaos_service_config(
     schedule: ServeFaultSchedule, slots: int
-) -> ServiceConfig:
-    """Service configuration that makes the scheduled pressure real.
+) -> ClusterConfig:
+    """One-fleet configuration that makes the scheduled pressure real.
 
     Queue and plan-cache capacities come from the schedule (small on
-    purpose: queue-full sheds, preemptions and cache evictions must
-    actually happen), and the plan's device outages are handed to the
-    scheduler's fault seam; each outage is counted here as injected.
+    purpose: queue-full sheds and cache evictions must actually
+    happen), and the plan's device outages are handed to the
+    simulator's slot-fault seam; each outage is counted here as
+    injected.
     """
     for _ in schedule.device_faults:
         tm.count("faults.injected.device_outage")
-    return ServiceConfig(
+    return fleet_config(
+        slots_per_fleet=slots,
         queue_capacity=schedule.queue_capacity,
         max_batch=4,
         cache_capacity=schedule.cache_capacity,
-        fleet=FleetSpec(devices=1, slots_per_device=slots),
         device_faults=schedule.device_faults,
     )
 
@@ -221,24 +221,22 @@ def chaos_placement_config(
     schedule: PlacementFaultSchedule,
     fpga_slots: int,
     gpu_tenants: int,
-) -> ServiceConfig:
+) -> ClusterConfig:
     """Mixed-fleet configuration under the plan's flapping tenants.
 
     The fleet tenants both device classes (with CPU assist on, so the
     offload path is exercised too) and the plan's class-tagged outages
-    ride the scheduler's fault seam; each is counted here as injected.
+    ride the simulator's slot-fault seam; each is counted here as
+    injected.
     """
     for _ in schedule.device_faults:
         tm.count("faults.injected.device_outage")
-    return ServiceConfig(
+    return fleet_config(
+        slots_per_fleet=fpga_slots,
+        gpu_tenants_per_fleet=gpu_tenants,
+        cpu_assist=True,
         queue_capacity=256,
         max_batch=4,
-        fleet=FleetSpec(
-            devices=1,
-            slots_per_device=fpga_slots,
-            gpu_tenants=gpu_tenants,
-            cpu_assist=True,
-        ),
         device_faults=schedule.device_faults,
     )
 

@@ -33,8 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serve.cluster.service import FleetFaultEvent, ForcedScaleEvent
-from repro.serve.scheduler import DeviceFaultEvent
+from repro.serve.cluster.service import (
+    DeviceFaultEvent,
+    FleetFaultEvent,
+    ForcedScaleEvent,
+)
 
 CHAOS_PROFILES = ("pool", "serve", "solver", "cluster", "placement")
 """The chaos runner's profile names, one per recovery surface."""
@@ -101,9 +104,9 @@ class ServeFaultSchedule:
 
     The storm window ``[storm_start_s, storm_start_s + storm_duration_s)``
     rewrites every covered request's deadline to a tight relative bound,
-    mass-exercising the admission/expiry paths; ``queue_capacity`` and
-    ``cache_capacity`` are deliberately small so queue-full sheds,
-    preemptions and plan-cache evictions all genuinely occur.
+    mass-exercising the expiry path; ``queue_capacity`` and
+    ``cache_capacity`` are deliberately small so queue-full sheds and
+    plan-cache evictions genuinely occur.
     """
 
     rate_rps: float

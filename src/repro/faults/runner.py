@@ -347,7 +347,8 @@ def run_serve_profile(plan: FaultPlan) -> ProfileOutcome:
             f"serve.requests={report.counters.get('serve.requests', 0)} "
             f"but {len(requests)} request(s) were offered",
         )
-    applied_faults = sum(slot.outages for slot in report.scheduler.slots)
+    observed = report.as_dict(include_responses=False)
+    applied_faults = observed["fleet"]["device_faults"]
     if report.counters.get("serve.device_faults", 0) != applied_faults:
         violated(
             "CHS-SERVE-FAULTS",
@@ -369,9 +370,7 @@ def run_serve_profile(plan: FaultPlan) -> ProfileOutcome:
             "the deadline storm window covered no requests — the chaos "
             "schedule exerted no pressure",
         )
-    evictions = (
-        report.cache.stats.evictions if report.cache is not None else 0
-    )
+    evictions = observed["cache"]["lookups"]["evictions"]
     if evictions == 0:
         violated(
             "CHS-SERVE-PRESSURE",
@@ -385,7 +384,6 @@ def run_serve_profile(plan: FaultPlan) -> ProfileOutcome:
             "expired response",
         )
 
-    observed = report.as_dict(include_responses=False)
     return ProfileOutcome("serve", injected, observed, tuple(findings))
 
 
@@ -729,11 +727,9 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
             f"outage(s) but {applied_faults} were applied — both slot "
             "pools exist, so none may be skipped",
         )
-    slots = report.scheduler.slots
+    by_class = report.as_dict(include_responses=False)["fleet"]["by_class"]
     for name in ("fpga", "gpu"):
-        observed = sum(
-            s.outages for s in slots if s.device_class == name
-        )
+        observed = by_class.get(name, {}).get("outages", 0)
         scheduled = len(schedule.faults_for(name))
         if observed != scheduled:
             violated(
@@ -743,10 +739,10 @@ def run_placement_profile(plan: FaultPlan) -> ProfileOutcome:
                 "classes",
             )
     decisions = {}
-    for source, profile in report.scheduler.profiles.items():
+    for source, profile in report.profiles.items():
         if isinstance(profile, str):
             continue
-        decision = report.scheduler.placement_for(source)
+        decision = report.cluster.placements.get(profile.label)
         if decision is None:
             violated(
                 "CHS-PLACE-DECIDE",

@@ -1,15 +1,14 @@
 """Cost estimation and labeling of problem sources.
 
 These helpers are shared by the worker-pool engine (chunk balancing),
-the campaign runner, and the serving admission controller
-(:mod:`repro.serve.admission`).  They live apart from
-:mod:`repro.parallel.engine` so consumers that only need a cost hint —
-such as an admission decision on a queued solve request — do not import
-the pool machinery (executors, futures, retry bookkeeping).
+the campaign runner and serving's cold profiling
+(:mod:`repro.serve.profile`).  They live apart from
+:mod:`repro.parallel.engine` so consumers that only need a cost hint or
+a label do not import the pool machinery (executors, futures, retry
+bookkeeping).
 
 ``estimate_cost`` is deliberately heuristic: relative error against the
-true NNZ only skews load balance or an admission hint, never
-correctness.
+true NNZ only skews load balance, never correctness.
 """
 
 from __future__ import annotations

@@ -1,35 +1,26 @@
-"""Online solver serving: admission, micro-batching, plan cache, fleet.
+"""Online solver serving: admission, micro-batching, plan cache, fleets.
 
 This package turns the batch reproducer into a request-driven service
-model.  A stream of :class:`SolveRequest` objects flows through
+model with one simulator, :mod:`repro.serve.cluster`.  A stream of
+requests flows through
 
-1. **admission control** — a bounded priority queue that sheds with
-   explicit backpressure responses instead of growing without bound,
-2. the **micro-batch scheduler** — groups structurally compatible
-   requests (same CSR fingerprint, or same reconfiguration-plan
-   signature once cached) and dispatches them onto the multi-tenant
-   fleet model, charging simulated device time,
+1. **admission control** — a bounded per-fleet queue that sheds with
+   explicit backpressure outcomes instead of growing without bound,
+2. **micro-batching** — requests for the same structure ride one batch
+   onto a slot of the multi-tenant fleet, charged simulated device time
+   by :func:`~repro.serve.profile.price_batch`,
 3. the **fingerprint-keyed plan cache** — repeat traffic skips the
    Matrix Structure unit and Fine-Grained Reconfiguration analysis,
    the serving-side analogue of the per-instance structure caches.
 
 Everything runs on a virtual clock, so a fixed request log produces a
-byte-identical report (see ``docs/serving.md``).  Entry points:
-``repro serve`` / ``repro loadtest`` on the CLI, or
-:func:`run_service` / :func:`run_loadtest` from code.
-
-The :mod:`repro.serve.cluster` subpackage scales this model to a
-dynamically sized *cluster* of fleets — consistent-hash fingerprint
-routing, a tiered plan cache and a deterministic autoscaler — behind
-``repro loadtest --cluster`` / :func:`run_cluster_loadtest`.
+byte-identical report (see ``docs/serving.md``).  ``repro serve`` /
+``repro loadtest`` (:func:`run_service` / :func:`run_loadtest`) run one
+fleet; ``repro loadtest --cluster`` (:func:`run_cluster_loadtest`) runs
+a dynamically sized cluster of fleets with consistent-hash fingerprint
+routing, a tiered plan cache and a deterministic autoscaler.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionVerdict,
-    deadline_lapsed,
-    deadline_unmeetable,
-)
 from repro.serve.api import (
     Outcome,
     Priority,
@@ -47,6 +38,7 @@ from repro.serve.cluster import (
     AutoscalerPolicy,
     ClusterConfig,
     ClusterReport,
+    DeviceFaultEvent,
     FleetFaultEvent,
     ForcedScaleEvent,
     HashRing,
@@ -68,18 +60,15 @@ from repro.serve.profile import (
     build_profiles,
     profile_items,
 )
-from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
 from repro.serve.service import (
-    ServiceConfig,
     ServingReport,
+    fleet_config,
     run_loadtest,
     run_service,
 )
 
 __all__ = [
     "TRAFFIC_MIXES",
-    "AdmissionController",
-    "AdmissionVerdict",
     "AutoscalerPolicy",
     "CacheEntry",
     "ClusterConfig",
@@ -89,11 +78,9 @@ __all__ = [
     "ForcedScaleEvent",
     "HashRing",
     "LoadSpec",
-    "MicroBatchScheduler",
     "Outcome",
     "PlanCache",
     "Priority",
-    "ServiceConfig",
     "ServingReport",
     "SolveProfile",
     "SolveRequest",
@@ -101,8 +88,7 @@ __all__ = [
     "TieredPlanCache",
     "build_profile",
     "build_profiles",
-    "deadline_lapsed",
-    "deadline_unmeetable",
+    "fleet_config",
     "generate_requests",
     "generate_trace",
     "parse_priority",

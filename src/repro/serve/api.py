@@ -4,8 +4,9 @@ A :class:`SolveRequest` is one client ask: solve the system identified
 by ``source`` (a Table II key, an ``.mtx`` path, or an in-memory
 problem) under a priority class and an optional deadline.  Every
 generated request receives **exactly one** :class:`SolveResponse` — a
-completed solve, an explicit shed (admission refused or preempted), an
-expiry (deadline passed while queued), or a failure (the solve raised).
+completed solve, an explicit shed (admission refused, or drained when
+the simulation stops), an expiry (deadline passed while queued), or a
+failure (the source could not be profiled).
 "Zero dropped without a shed response" is the subsystem's accounting
 invariant and is asserted by the CI smoke job.
 
@@ -26,8 +27,8 @@ from repro.errors import ValidationError
 class Priority(enum.IntEnum):
     """Request priority class; lower value = more urgent.
 
-    ``INTERACTIVE`` requests typically carry deadlines and may preempt
-    queued ``BEST_EFFORT`` work when the admission queue is full;
+    ``INTERACTIVE`` requests typically carry deadlines, and a batch
+    headed by one departs without waiting for the fill window;
     ``BATCH`` is the default for bulk traffic.
     """
 
@@ -58,7 +59,7 @@ class Outcome(enum.Enum):
     """Terminal state of one request."""
 
     COMPLETED = "completed"  # solved; converged flag says how it went
-    SHED = "shed"            # admission refused or preempted (backpressure)
+    SHED = "shed"            # admission refused or drained (backpressure)
     EXPIRED = "expired"      # deadline passed while still queued
     FAILED = "failed"        # the solve itself raised
 

@@ -24,7 +24,7 @@ right-hand sides), so the service keys a cache on a pattern hash:
 ``plan_signature(plan)``
     SHA-256 over the per-set ``(start_row, stop_row, unroll)`` schedule.
     Two matrices with different fingerprints can still share a
-    signature; the scheduler batches on it because equal signatures mean
+    signature; slot affinity keys on it because equal signatures mean
     the fabric needs no reconfiguration between their sweeps.
 
 The cache itself is a bounded LRU: serving fleets run for weeks, so an

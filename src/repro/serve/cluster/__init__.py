@@ -1,7 +1,7 @@
-"""Multi-fleet serving: fingerprint router, tiered cache, autoscaler.
+"""The serving simulator: fingerprint router, tiered cache, autoscaler.
 
-The cluster tier generalizes single-fleet serving
-(:mod:`repro.serve.service`) to a dynamically sized set of fleets:
+One simulator serves a dynamically sized set of fleets; single-fleet
+serving (:mod:`repro.serve.service`) is its one-fleet configuration:
 
 - :mod:`repro.serve.cluster.ring` — consistent-hash placement by CSR
   structure fingerprint (plan-cache affinity with bounded remap),
@@ -31,6 +31,7 @@ from repro.serve.cluster.ring import HashRing
 from repro.serve.cluster.service import (
     ClusterConfig,
     ClusterReport,
+    DeviceFaultEvent,
     FleetFaultEvent,
     ForcedScaleEvent,
     run_cluster,
@@ -46,6 +47,7 @@ __all__ = [
     "AutoscalerPolicy",
     "ClusterConfig",
     "ClusterReport",
+    "DeviceFaultEvent",
     "FleetFaultEvent",
     "ForcedScaleEvent",
     "HashRing",

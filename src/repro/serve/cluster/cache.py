@@ -1,7 +1,8 @@
 """Tiered plan cache: local LRU per fleet over a cluster-wide directory.
 
-Single-fleet serving has one :class:`~repro.serve.cache.PlanCache`; a
-cluster splits it into an explicit cost ladder, charged in *modeled*
+Each fleet keeps a bounded :class:`~repro.serve.cache.PlanCache` over
+one directory shared by the whole cluster (a single fleet has a
+directory of its own), an explicit cost ladder charged in *modeled*
 time against the virtual clock:
 
 ``local hit``
@@ -26,11 +27,15 @@ LRUs: it models a replicated metadata service whose entries are tiny
 finite on-host plan storage.  Eviction from a local tier never loses
 work — the directory still has the entry, so the penalty is one remote
 fetch, not a re-analysis.
+
+A ``local_capacity`` of 0 turns caching off altogether (``--no-cache``):
+every lookup misses and nothing is published, so every batch pays the
+full cold solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.serve.cache import CacheEntry, PlanCache
@@ -84,9 +89,13 @@ class TieredPlanCache:
         self.stats = TierStats()
         self._local: dict[int, PlanCache] = {}
 
+    @property
+    def enabled(self) -> bool:
+        return self.local_capacity > 0
+
     def attach_fleet(self, fleet_id: int) -> None:
         """Give ``fleet_id`` an empty local tier (idempotent)."""
-        if fleet_id not in self._local:
+        if self.enabled and fleet_id not in self._local:
             self._local[fleet_id] = PlanCache(capacity=self.local_capacity)
 
     def detach_fleet(self, fleet_id: int) -> None:
@@ -111,6 +120,9 @@ class TieredPlanCache:
         ``charge_s`` is the modeled time the ladder adds to the batch.
         Remote hits install the entry locally as a side effect.
         """
+        if not self.local_capacity:
+            self.stats.misses += 1
+            return MISS, None, 0.0
         local = self._local.get(fleet_id)
         if local is None:  # inline attach_fleet: this path is per-batch
             local = self._local[fleet_id] = PlanCache(
@@ -130,6 +142,8 @@ class TieredPlanCache:
 
     def publish(self, fleet_id: int, entry: CacheEntry) -> None:
         """After a cold solve: directory insert + local install."""
+        if not self.enabled:
+            return
         self.attach_fleet(fleet_id)
         if entry.fingerprint not in self.directory:
             self.directory[entry.fingerprint] = entry

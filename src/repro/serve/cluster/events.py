@@ -1,12 +1,12 @@
 """Heap-based timer wheel: the cluster simulator's event loop.
 
-The single-fleet simulator (:mod:`repro.serve.service`) walks fixed
-ticks, which is fine at hundreds of requests per second but hopeless at
-cluster scale — a ``--duration 3600 --rate 10000`` trace is 36 million
-arrivals, and a per-request (or per-tick) Python loop would take hours.
-The cluster loop therefore inverts the design:
+A simulator that walks fixed ticks is fine at hundreds of requests per
+second but hopeless at cluster scale — a ``--duration 3600 --rate
+10000`` trace is 36 million arrivals, and a per-request (or per-tick)
+Python loop would take hours.  The serving loop therefore inverts the
+design:
 
-- **sparse events on a heap** — epoch boundaries, fleet faults,
+- **sparse events on a heap** — epoch boundaries, fleet and slot faults,
   recoveries and forced scale actions are the only discrete events; the
   wheel pops them in virtual-time order, and
 - **vectorized batches between events** — request arrivals live in
@@ -33,6 +33,9 @@ EVENT_FLEET_FAULT = "fleet_fault"
 
 EVENT_FLEET_RECOVER = "fleet_recover"
 """A faulted fleet comes back and may rejoin the ring."""
+
+EVENT_DEVICE_FAULT = "device_fault"
+"""One slot of one device class goes dark (chaos injection)."""
 
 EVENT_FORCED_SCALE = "forced_scale"
 """Chaos-driven membership change (flapping join / forced drain)."""
@@ -75,9 +78,6 @@ class TimerWheel:
         self._seq += 1
         self.pushed += 1
         heapq.heappush(self._heap, event)
-
-    def peek_time(self) -> float | None:
-        return self._heap[0].at_s if self._heap else None
 
     def pop(self) -> TimerEvent:
         self.popped += 1

@@ -1,8 +1,9 @@
 """The cluster serving simulator: router → fleets → tiered cache, on a
 heap-driven virtual clock.
 
-This is the multi-fleet generalization of :mod:`repro.serve.service`.
-The host tier does everything the CPU is good at — fingerprint routing,
+This is the repo's one serving simulator: :mod:`repro.serve.service`
+runs the single fleet as a one-fleet, autoscale-off cluster.  The host
+tier does everything the CPU is good at — fingerprint routing,
 cache directory lookups, scale decisions — while fleets charge modeled
 device time, mirroring the CPU–FPGA division of labor the serving docs
 describe.  The design constraints, in order:
@@ -29,23 +30,28 @@ describe.  The design constraints, in order:
    full), ``shed_drain_limit`` (simulation refused to drain forever),
    ``expired`` (deadline lapsed while queued, swept at epoch
    boundaries) or ``failed`` (unprofileable source).  The report's
-   ``unaccounted`` field is asserted zero in CI.
+   ``unaccounted`` field is asserted zero in CI, and the per-request
+   outcome record (:attr:`ClusterReport.outcomes`) names each
+   request's bucket.
 
 Modeling notes, deliberate and documented: deadlines are enforced at
 epoch granularity (a request overtaken mid-epoch completes late rather
 than expiring); there is no cross-fleet work stealing (affinity is the
-point); priorities shape deadlines and reporting, not preemption —
-preemption lives in the single-fleet tier where per-request objects
-make it cheap.  A faulted fleet's in-flight batches complete, its slots
-freeze until recovery, and its queue waits (the drain-limit backstop
-bounds the wait).
+point); priorities shape deadlines, reporting and batch departure (a
+batch whose head is interactive leaves without waiting for the fill
+window), never preemption.  A faulted fleet's — or slot's — in-flight
+batches complete, its slots freeze until recovery, and its queue waits
+(the drain-limit backstop bounds the wait).
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Any
 
@@ -70,6 +76,7 @@ from repro.serve.cluster.autoscale import (
 )
 from repro.serve.cluster.cache import MISS, TieredPlanCache
 from repro.serve.cluster.events import (
+    EVENT_DEVICE_FAULT,
     EVENT_EPOCH,
     EVENT_FLEET_FAULT,
     EVENT_FLEET_RECOVER,
@@ -90,6 +97,45 @@ from repro.serve.stats import format_latency_ms, latency_summary_ms_array
 from repro.telemetry import Telemetry, percentile
 
 CLUSTER_SCHEMA_VERSION = 1
+
+OUTCOMES = (
+    "unaccounted", "completed", "shed_overflow", "shed_drain_limit",
+    "expired", "failed",
+)
+"""Per-request outcome names; a request's code is its index here."""
+(
+    _UNACCOUNTED, _COMPLETED, _SHED_OVERFLOW, _SHED_DRAIN_LIMIT,
+    _EXPIRED, _FAILED,
+) = range(len(OUTCOMES))
+
+
+@dataclass(frozen=True)
+class DeviceFaultEvent:
+    """One modeled transient slot fault on the virtual clock.
+
+    At virtual time ``at_s`` one slot goes dark for ``outage_s`` seconds
+    (SEU scrub, ICAP region recovery, a wedged kernel being reset): it
+    starts no new batch until the outage ends, and its resident
+    configuration is wiped, so the next batch placed there pays a full
+    configuration load.  Work already charged to the slot completes.
+
+    ``device_class`` scopes the fault: ``slot`` indexes (modulo its
+    size) that class's slot pool across the alive fleets in id order,
+    so a fault aimed at a GPU tenant can never evict a resident FPGA
+    plan (and vice versa).  A fault naming a class no alive fleet hosts
+    is consumed without effect.
+    """
+
+    at_s: float
+    slot: int
+    outage_s: float
+    device_class: str = FPGA
+
+    def __post_init__(self) -> None:
+        if not self.outage_s >= 0:
+            raise ConfigurationError(
+                f"device-fault outage must be >= 0 s, got {self.outage_s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,6 +196,7 @@ class ClusterConfig:
     workers: int = 1
     fleet_faults: tuple[FleetFaultEvent, ...] = ()
     forced_scale: tuple[ForcedScaleEvent, ...] = ()
+    device_faults: tuple[DeviceFaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if self.min_fleets < 1:
@@ -186,7 +233,16 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
-        if self.batch_fill_ms < 0:
+        if self.max_batch < 1:
+            raise ConfigurationError(
+                f"max_batch must be >= 1, got {self.max_batch}"
+            )
+        if self.cache_capacity < 0:
+            raise ConfigurationError(
+                "cache_capacity must be >= 0 (0 disables the plan "
+                f"cache), got {self.cache_capacity}"
+            )
+        if not self.batch_fill_ms >= 0:
             raise ConfigurationError(
                 f"batch fill must be >= 0 ms, got {self.batch_fill_ms}"
             )
@@ -232,6 +288,8 @@ class ClusterConfig:
             "fleet_faults": len(self.fleet_faults),
             "forced_scale": len(self.forced_scale),
         }
+        if self.device_faults:
+            document["device_faults"] = len(self.device_faults)
         if self.heterogeneous:
             document["gpu_tenants_per_fleet"] = self.gpu_tenants_per_fleet
             document["cpu_assist"] = self.cpu_assist
@@ -263,7 +321,11 @@ class FleetState:
         # operator overhead would dominate the whole simulation.
         self.slot_free: list[float] = [at_s] * (slots + gpu_tenants)
         self.slot_resident: list[str] = [""] * (slots + gpu_tenants)
-        # source_idx -> [trace-index array, arrival array, pointer]
+        self.slot_outages: list[int] = [0] * (slots + gpu_tenants)
+        # source_idx -> [trace-index array, arrival list,
+        #                departure-ready list, pointer]; the arrival
+        # and ready columns are Python lists because dispatch reads
+        # them one scalar at a time (bisect, heap keys)
         self.queues: dict[int, list[Any]] = {}
         self.backlog = 0
         self.joined_s = at_s
@@ -271,16 +333,17 @@ class FleetState:
         self.retired_s: float | None = None
         self.faulted_until: float | None = None
         self.alive = True
+        # Batch tallies, filled in from the batch log after the run.
+        self.slot_busy: list[float] = [0.0] * (slots + gpu_tenants)
         self.busy_seconds = 0.0
         self.completed = 0
         self.batches = 0
         self.batch_members = 0
         self.max_batch_size = 0
+        self.gpu_batches = 0
         self.config_loads = 0
         self.gpu_transfers = 0
-        self.gpu_batches = 0
         self.outages = 0
-        self.last_routed_s: float | None = None
 
     @property
     def draining(self) -> bool:
@@ -336,13 +399,40 @@ class FleetState:
 
 
 @dataclass
+class BatchLog:
+    """Struct-of-arrays record of every dispatched batch, in dispatch order.
+
+    Member ``m`` of batch ``j`` finishes at
+    ``first_finish_s[j] + step_s[j] * m``; the batch occupied slot
+    ``slot[j]`` of fleet ``fleet[j]`` from ``start_s[j]``.
+    """
+
+    start_s: np.ndarray
+    first_finish_s: np.ndarray
+    step_s: np.ndarray
+    size: np.ndarray
+    fleet: np.ndarray
+    slot: np.ndarray
+    cold: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.size.shape[0])
+
+    @property
+    def end_s(self) -> np.ndarray:
+        return self.first_finish_s + self.step_s * (self.size - 1)
+
+
+@dataclass
 class ClusterReport:
     """Aggregate outcome of one cluster run, with a stable JSON form.
 
-    Unlike :class:`~repro.serve.service.ServingReport` there is no
-    per-request response log — at 36M requests that would be the whole
-    point of the array-native design thrown away.  Latency populations
-    are kept as arrays and summarized; accounting is exact counts.
+    The JSON form carries no per-request rows — at 36M requests that
+    would throw the array-native design away.  Latency populations are
+    kept as arrays and summarized; accounting is exact counts.  The
+    per-request record stays in arrays: ``outcomes`` holds one
+    :data:`OUTCOMES` code per trace row, ``served_idx`` the trace rows
+    of completed requests in :class:`BatchLog` member order.
     """
 
     config: ClusterConfig
@@ -358,6 +448,9 @@ class ClusterReport:
     horizon_s: float
     queue_depth_samples: list[int]
     counters: dict[str, int]
+    outcomes: np.ndarray
+    served_idx: np.ndarray
+    batch_log: BatchLog
     placements: dict[str, PlacementDecision] = field(default_factory=dict)
     telemetry: Telemetry = field(default_factory=Telemetry)
     # Cached document: the latency section partitions a multi-million
@@ -636,20 +729,26 @@ class _ClusterSimulation:
             "fleet_outages": 0,
             "forced_scale": 0,
             "cpu_assist_offloads": 0,
+            "device_faults": 0,
         }
         n = len(trace)
+        self.outcome = np.zeros(n, dtype=np.int8)  # _UNACCOUNTED
         # Latency bookkeeping is deferred: the dispatch loop records one
         # (first_finish, step, size) triple per batch plus each member's
-        # trace index and arrival, and :meth:`latencies_s` materializes
-        # the per-request latencies in a few vectorized passes at the
-        # end.  Arrivals are copied per batch (cheap contiguous slices)
-        # so the finalize pass never gathers 10⁷+ random indices.
+        # trace index, and :meth:`latencies_s` materializes the
+        # per-request latencies in a few vectorized passes at the end.
+        # The per-batch records are typed arrays: unboxed, they cost a
+        # third of a list of floats and become the BatchLog copy-free.
         self.lat_idx = np.empty(n, dtype=np.int32)
-        self.lat_arrival = np.empty(n, dtype=np.float64)
         self.lat_count = 0
-        self.batch_first: list[float] = []
-        self.batch_step: list[float] = []
-        self.batch_size: list[int] = []
+        self.batch_first = array("d")
+        self.batch_step = array("d")
+        self.batch_size = array("q")
+        self.batch_start = array("d")
+        self.batch_slot = array("q")
+        self.batch_cold = array("b")
+        # (fleet id, batch count) per dispatch pass that made batches
+        self.batch_runs: list[tuple[int, int]] = []
         self.queue_depth_samples: list[int] = []
         self.horizon_s = 0.0
         # per-epoch signal accumulators
@@ -808,8 +907,32 @@ class _ClusterSimulation:
             if self._drain_fleet(event.at_s) is not None:
                 self.counts["forced_scale"] += 1
 
+    def _apply_device_fault(self, event: DeviceFaultEvent) -> None:
+        pool: list[tuple[FleetState, int]] = []
+        for fleet_id in sorted(self.fleets):
+            fleet = self.fleets[fleet_id]
+            if not fleet.alive:
+                continue
+            if event.device_class == FPGA:
+                pool.extend((fleet, i) for i in range(fleet.fpga_slots))
+            elif event.device_class == GPU:
+                pool.extend(
+                    (fleet, i) for i in range(fleet.fpga_slots, fleet.slots)
+                )
+        if not pool:
+            return
+        fleet, index = pool[event.slot % len(pool)]
+        recover_at = round(event.at_s + event.outage_s, 9)
+        if fleet.slot_free[index] < recover_at:
+            fleet.slot_free[index] = recover_at
+        fleet.slot_resident[index] = ""
+        fleet.slot_outages[index] += 1
+        self.counts["device_faults"] += 1
+
     def _apply_event(self, event: Any) -> None:
-        if event.kind == EVENT_FLEET_FAULT:
+        if event.kind == EVENT_DEVICE_FAULT:
+            self._apply_device_fault(event.payload)
+        elif event.kind == EVENT_FLEET_FAULT:
             self._apply_fault(event.payload)
         elif event.kind == EVENT_FLEET_RECOVER:
             self._apply_recover(event.payload)
@@ -818,7 +941,7 @@ class _ClusterSimulation:
 
     # -- admission and expiry ------------------------------------------
 
-    def _admit(self, new_idx: np.ndarray, at_s: float) -> None:
+    def _admit(self, new_idx: np.ndarray) -> None:
         if new_idx.shape[0] == 0:
             return
         trace = self.trace
@@ -828,6 +951,7 @@ class _ClusterSimulation:
         n_failed = int(np.count_nonzero(failed))
         if n_failed:
             self.counts["failed"] += n_failed
+            self.outcome[new_idx[failed]] = _FAILED
             new_idx = new_idx[~failed]
             src = src[~failed]
         if new_idx.shape[0] == 0:
@@ -848,6 +972,8 @@ class _ClusterSimulation:
         cuts = np.flatnonzero(np.diff(fleet_sorted)) + 1
         starts = np.concatenate(([0], cuts))
         stops = np.concatenate((cuts, [fleet_sorted.shape[0]]))
+        arrival = trace.arrival_s
+        fill = self.config.batch_fill_ms * 1e-3
         for lo, hi in zip(starts, stops):
             fleet = self.fleets[int(fleet_sorted[lo])]
             chunk_idx = idx_sorted[lo:hi]
@@ -858,7 +984,10 @@ class _ClusterSimulation:
                 # Tail-drop: arrivals are time-ordered within the
                 # chunk, so the newest overflow is what gets shed.
                 arrival_order = np.argsort(
-                    self.trace.arrival_s[chunk_idx], kind="stable"
+                    arrival[chunk_idx], kind="stable"
+                )
+                self.outcome[chunk_idx[arrival_order[room:]]] = (
+                    _SHED_OVERFLOW
                 )
                 keep = np.sort(arrival_order[:room])
                 shed = chunk_idx.shape[0] - room
@@ -868,14 +997,26 @@ class _ClusterSimulation:
                 chunk_src = chunk_src[keep]
             if chunk_idx.shape[0] == 0:
                 continue
-            fleet.last_routed_s = at_s
             fleet.backlog += int(chunk_idx.shape[0])
             src_order = np.argsort(chunk_src, kind="stable")
             by_src = chunk_src[src_order]
             by_idx = chunk_idx[src_order]
+            by_arrival = arrival[by_idx]
+            # The one batching rule: a batch headed by an interactive
+            # request departs as soon as a slot is free; any other head
+            # waits out the fill window first.
+            by_ready = np.where(
+                trace.priority[by_idx] == Priority.INTERACTIVE.value,
+                by_arrival,
+                by_arrival + fill,
+            )
+            arrival_list = by_arrival.tolist()
+            ready_list = by_ready.tolist()
             src_cuts = np.flatnonzero(np.diff(by_src)) + 1
-            src_starts = np.concatenate(([0], src_cuts))
-            src_stops = np.concatenate((src_cuts, [by_src.shape[0]]))
+            src_starts = np.concatenate(([0], src_cuts)).tolist()
+            src_stops = np.concatenate(
+                (src_cuts, [by_src.shape[0]])
+            ).tolist()
             for slo, shi in zip(src_starts, src_stops):
                 source = int(by_src[slo])
                 fresh = by_idx[slo:shi]
@@ -883,16 +1024,16 @@ class _ClusterSimulation:
                 if queue is None:
                     fleet.queues[source] = [
                         fresh,
-                        self.trace.arrival_s[fresh],
+                        arrival_list[slo:shi],
+                        ready_list[slo:shi],
                         0,
                     ]
                 else:
-                    idx_arr, arr_arr, ptr = queue
+                    idx_arr, arrivals, ready, ptr = queue
                     queue[0] = np.concatenate((idx_arr[ptr:], fresh))
-                    queue[1] = np.concatenate(
-                        (arr_arr[ptr:], self.trace.arrival_s[fresh])
-                    )
-                    queue[2] = 0
+                    queue[1] = arrivals[ptr:] + arrival_list[slo:shi]
+                    queue[2] = ready[ptr:] + ready_list[slo:shi]
+                    queue[3] = 0
 
     def _expire(self, at_s: float) -> None:
         deadline = self.trace.deadline_s
@@ -901,19 +1042,24 @@ class _ClusterSimulation:
                 continue
             dead_sources = []
             for source, queue in fleet.queues.items():
-                idx_arr, arr_arr, ptr = queue
+                idx_arr, arrivals, ready, ptr = queue
                 live_idx = idx_arr[ptr:]
+                # Closed boundary: a deadline equal to the sweep time
+                # has lapsed — no time is left to do any work.
                 lapsed = deadline[live_idx] <= at_s
                 n_lapsed = int(np.count_nonzero(lapsed))
                 if not n_lapsed:
                     continue
+                self.outcome[live_idx[lapsed]] = _EXPIRED
                 self.counts["expired"] += n_lapsed
                 self._epoch_shed += n_lapsed
                 fleet.backlog -= n_lapsed
                 keep = ~lapsed
+                kept = keep.tolist()
                 queue[0] = live_idx[keep]
-                queue[1] = arr_arr[ptr:][keep]
-                queue[2] = 0
+                queue[1] = list(compress(arrivals[ptr:], kept))
+                queue[2] = list(compress(ready[ptr:], kept))
+                queue[3] = 0
                 if queue[0].shape[0] == 0:
                     dead_sources.append(source)
             for source in dead_sources:
@@ -928,36 +1074,52 @@ class _ClusterSimulation:
 
         This is the simulation's only per-batch Python loop; every
         quantity it touches is a scalar or a small-slice vector write.
-        A batch departs at ``max(slot_free, head_arrival + fill)`` — the
-        fill window is what lets batches reach ``max_batch`` under load
-        instead of degenerating to one request per iteration — and
-        carries every queued request of its source that has arrived by
-        the departure time.
+        A batch departs at ``max(slot_free, head_ready)`` and carries
+        every queued request of its source that has arrived by the
+        departure time.  Sources are taken in order of their head's
+        arrival.  ``head_ready`` is the head's arrival plus the
+        fill window — what lets batches reach ``max_batch`` under load
+        instead of degenerating to one request per iteration — except
+        that an interactive head is ready on arrival.
         """
         if fleet.backlog == 0:
             return
         queues = fleet.queues
         heap: list[tuple[float, int]] = []
         for source, queue in queues.items():
-            if queue[0].shape[0] > queue[2]:
-                heap.append((float(queue[1][queue[2]]), source))
+            if queue[0].shape[0] > queue[3]:
+                heap.append((queue[1][queue[3]], source))
         if not heap:
             return
         heapq.heapify(heap)
         slot_free = fleet.slot_free
         residents = fleet.slot_resident
         max_batch = self.config.max_batch
-        fill = self.config.batch_fill_ms * 1e-3
+        # Without a plan cache the service never learns a plan
+        # signature ahead of dispatch, so every batch reloads its slot.
+        cached = self.cache.enabled
         fleet_id = fleet.fleet_id
         assist = self.config.cpu_assist
         prices = self.prices
         lookup = self.cache.lookup
+        signatures = self.signatures
+        fingerprints = self.fingerprints
+        placed_class = self.placed_class
+        ranges = {cls: fleet.slot_range(cls) for cls in (FPGA, GPU)}
+        fpga_slots = fleet.fpga_slots
         lat_idx = self.lat_idx
-        lat_arrival = self.lat_arrival
         batch_first = self.batch_first
         batch_step = self.batch_step
         batch_size = self.batch_size
-        counts = self.counts
+        batch_start = self.batch_start
+        batch_slot = self.batch_slot
+        batch_cold = self.batch_cold
+        # Per-batch tallies (busy time, batch and member counts) are
+        # derived from these records once the run ends; the loop keeps
+        # only what dispatch itself reads.
+        first_batch = len(batch_size)
+        c0 = c = self.lat_count
+        horizon = self.horizon_s
         # A class's slot pool can saturate (no start before ``t1``)
         # while the other class still has room, so saturation is
         # tracked per class and the loop only stops when every class
@@ -965,19 +1127,19 @@ class _ClusterSimulation:
         saturated_fpga = False
         saturated_gpu = False
         while heap and min(slot_free) < t1:
-            head_arrival, source = heapq.heappop(heap)
+            _, source = heapq.heappop(heap)
             queue = queues[source]
-            idx_arr, arr_arr, ptr = queue
-            signature = self.signatures[source]
-            lo, hi = fleet.slot_range(self.placed_class[source])
-            on_gpu = lo >= fleet.fpga_slots
+            idx_arr, arrivals, ready_at, ptr = queue
+            ready = ready_at[ptr]
+            signature = signatures[source]
+            lo, hi = ranges[placed_class[source]]
+            on_gpu = lo >= fpga_slots
             if saturated_gpu if on_gpu else saturated_fpga:
                 continue
             # Pick the slot with the earliest achievable start; among
             # equal starts prefer a resident-matching slot (same modeled
             # start, one config load saved), then an unconfigured slot
             # (no live configuration evicted), then the lowest index.
-            ready = head_arrival + fill
             start = float("inf")
             slot = lo
             for index in range(lo, hi):
@@ -997,9 +1159,10 @@ class _ClusterSimulation:
                     slot = index
             # Leftovers carry to the next epoch once no slot of the
             # class can start inside this one.  Sources later in the
-            # heap have later heads, so their starts are no earlier:
-            # safe to mark the class saturated.  (Deferred sources keep
-            # their queue pointer, so the next epoch re-heaps them.)
+            # heap have later heads, so they are deferred with it.
+            # (Deferred sources keep their queue pointer, so the next
+            # epoch re-heaps them; a start is a slot's free time or a
+            # head's ready time, never the epoch boundary.)
             if start >= t1:
                 if on_gpu:
                     saturated_gpu = True
@@ -1010,19 +1173,19 @@ class _ClusterSimulation:
                 ):
                     break
                 continue
-            ripe = int(arr_arr.searchsorted(start, side="right")) - ptr
-            k = ripe if ripe < max_batch else max_batch
-            tier, _, tier_charge = lookup(
-                fleet_id, self.fingerprints[source]
-            )
+            hi = ptr + max_batch
+            if hi > len(arrivals):
+                hi = len(arrivals)
+            k = bisect_right(arrivals, start, ptr, hi) - ptr
+            tier, _, tier_charge = lookup(fleet_id, fingerprints[source])
             cold = tier == MISS
             if cold:
                 self.cache.publish(fleet_id, self.entries[source])
                 if assist:
-                    counts["cpu_assist_offloads"] += 1
+                    self.counts["cpu_assist_offloads"] += 1
             load_s, head_s, step = prices[on_gpu][cold][source]
             base = start + tier_charge
-            if residents[slot] != signature:
+            if residents[slot] != signature or not cached:
                 base += load_s
                 if on_gpu:
                     fleet.gpu_transfers += 1
@@ -1032,31 +1195,52 @@ class _ClusterSimulation:
             first_finish = base + head_s
             end = first_finish + step * (k - 1)
             slot_free[slot] = end
-            fleet.busy_seconds += end - start
-            fleet.batches += 1
-            if on_gpu:
-                fleet.gpu_batches += 1
-            fleet.batch_members += k
-            if k > fleet.max_batch_size:
-                fleet.max_batch_size = k
-            fleet.completed += k
-            fleet.backlog -= k
-            counts["completed"] += k
-            c = self.lat_count
             stop = ptr + k
             lat_idx[c:c + k] = idx_arr[ptr:stop]
-            lat_arrival[c:c + k] = arr_arr[ptr:stop]
+            c += k
             batch_first.append(first_finish)
             batch_step.append(step)
             batch_size.append(k)
-            self.lat_count = c + k
-            if end > self.horizon_s:
-                self.horizon_s = end
-            queue[2] = stop
+            batch_start.append(start)
+            batch_slot.append(slot)
+            batch_cold.append(cold)
+            if end > horizon:
+                horizon = end
+            queue[3] = stop
             if idx_arr.shape[0] > stop:
-                heapq.heappush(heap, (float(arr_arr[stop]), source))
+                heapq.heappush(heap, (arrivals[stop], source))
             else:
                 del queues[source]
+        fleet.backlog -= c - c0
+        self.lat_count = c
+        self.horizon_s = horizon
+        if len(batch_size) > first_batch:
+            self.batch_runs.append((fleet_id, len(batch_size) - first_batch))
+
+    def _tally_fleets(self) -> None:
+        """Per-fleet and per-slot batch tallies, from the batch log.
+
+        Sums run in dispatch order (``np.bincount`` adds sequentially),
+        so they equal a running total kept batch by batch.
+        """
+        log = self.batch_log()
+        busy = log.end_s - log.start_s
+        busy_by_fleet = np.bincount(
+            log.fleet, busy, minlength=self.next_fleet_id
+        )
+        for fleet_id, fleet in self.fleets.items():
+            mine = log.fleet == fleet_id
+            sizes = log.size[mine]
+            slots = log.slot[mine]
+            fleet.batches = int(sizes.shape[0])
+            fleet.batch_members = fleet.completed = int(sizes.sum())
+            fleet.max_batch_size = int(sizes.max(initial=0))
+            fleet.gpu_batches = int(np.count_nonzero(slots >= fleet.fpga_slots))
+            fleet.busy_seconds = float(busy_by_fleet[fleet_id])
+            fleet.slot_busy = np.bincount(
+                slots, busy[mine], minlength=fleet.slots
+            ).tolist()
+        self.counts["completed"] = self.lat_count
 
     def latencies_s(self) -> np.ndarray:
         """Materialize per-request latencies from per-batch records.
@@ -1069,22 +1253,23 @@ class _ClusterSimulation:
         c = self.lat_count
         if c == 0:
             return np.empty(0, dtype=np.float64)
-        sizes = np.asarray(self.batch_size, dtype=np.int64)
+        log = self.batch_log()
+        sizes = log.size
         starts = np.cumsum(sizes) - sizes
-        first = np.asarray(self.batch_first)
-        step = np.asarray(self.batch_step)
+        first = log.first_finish_s
+        step = log.step_s
         # Element ``i`` of batch ``j`` (at local offset ``m``) has
         # latency ``first_j + step_j * m - arrival_i``.  Both piecewise
         # terms are expanded with scatter-then-cumsum instead of
-        # ``np.repeat`` so the whole pass allocates exactly one
-        # population-sized buffer (large allocations dominate the
-        # finalize on memory-constrained hosts); ``lat_arrival`` is
-        # consumed as in-place scratch for the ramp term.
+        # ``np.repeat`` so the whole pass allocates only two
+        # population-sized buffers (large allocations dominate the
+        # finalize on memory-constrained hosts); the gathered arrivals
+        # are consumed as in-place scratch for the ramp term.
         out = np.zeros(c, dtype=np.float64)
         out[starts] = np.diff(first, prepend=0.0)
         np.cumsum(out, out=out)
-        out -= self.lat_arrival[:c]
-        scratch = self.lat_arrival[:c]
+        scratch = self.trace.arrival_s[self.lat_idx[:c]]
+        out -= scratch
         scratch[:] = 0.0
         scratch[starts] = np.diff(step, prepend=0.0)
         np.cumsum(scratch, out=scratch)  # step_j, expanded per element
@@ -1095,6 +1280,21 @@ class _ClusterSimulation:
         np.cumsum(scratch, out=scratch)  # step_j * m (local offset ramp)
         out += scratch
         return out
+
+    def batch_log(self) -> BatchLog:
+        """The per-batch records as arrays sharing their buffers."""
+        return BatchLog(
+            start_s=np.frombuffer(self.batch_start, dtype=np.float64),
+            first_finish_s=np.frombuffer(self.batch_first, dtype=np.float64),
+            step_s=np.frombuffer(self.batch_step, dtype=np.float64),
+            size=np.frombuffer(self.batch_size, dtype=np.int64),
+            fleet=np.repeat(
+                np.array([f for f, _ in self.batch_runs], dtype=np.int64),
+                [count for _, count in self.batch_runs],
+            ),
+            slot=np.frombuffer(self.batch_slot, dtype=np.int64),
+            cold=np.frombuffer(self.batch_cold, dtype=np.bool_),
+        )
 
     # -- signals -------------------------------------------------------
 
@@ -1142,19 +1342,30 @@ class _ClusterSimulation:
             if not fleet.alive or fleet.backlog == 0:
                 continue
             self.counts["shed_drain_limit"] += fleet.backlog
+            for idx_arr, _, _, ptr in fleet.queues.values():
+                self.outcome[idx_arr[ptr:]] = _SHED_DRAIN_LIMIT
             fleet.backlog = 0
             fleet.queues = {}
 
     def run(self, duration_s: float) -> None:
         config = self.config
         interval = config.interval_s
-        drain_limit = duration_s * DRAIN_LIMIT_FACTOR
+        # A log shorter than one epoch still gets a whole epoch's drain
+        # budget per factor, so a burst at t=0 is not shed unserved.
+        drain_limit = max(duration_s, interval) * DRAIN_LIMIT_FACTOR
         for _ in range(config.initial_fleets):
             self._add_fleet(0.0)
         for fault in config.fleet_faults:
             self.wheel.schedule(fault.at_s, EVENT_FLEET_FAULT, fault)
         for forced in config.forced_scale:
             self.wheel.schedule(forced.at_s, EVENT_FORCED_SCALE, forced)
+        for device_fault in sorted(
+            config.device_faults,
+            key=lambda e: (e.at_s, e.device_class, e.slot),
+        ):
+            self.wheel.schedule(
+                device_fault.at_s, EVENT_DEVICE_FAULT, device_fault
+            )
         self.wheel.schedule(0.0, EVENT_EPOCH, 0)
         arrivals = self.trace.arrival_s
         n = arrivals.shape[0]
@@ -1171,7 +1382,7 @@ class _ClusterSimulation:
             self._retire_idle(t0)
             self._expire(t0)
             hi = int(np.searchsorted(arrivals, t1, side="left"))
-            self._admit(np.arange(pointer, hi, dtype=np.int64), t0)
+            self._admit(np.arange(pointer, hi, dtype=np.int64))
             pointer = hi
             for fleet_id in sorted(self.fleets):
                 fleet = self.fleets[fleet_id]
@@ -1200,6 +1411,7 @@ class _ClusterSimulation:
                 else:
                     self.wheel.schedule(t1, EVENT_EPOCH, epoch + 1)
         self._retire_idle(self.horizon_s)
+        self._tally_fleets()
 
     def flush_counters(self) -> None:
         """Publish run totals to the active telemetry collector.
@@ -1242,6 +1454,8 @@ class _ClusterSimulation:
                 "placement.cpu_assist_offloads",
                 self.counts["cpu_assist_offloads"],
             )
+        if self.config.device_faults:
+            tm.count("serve.device_faults", self.counts["device_faults"])
         tm.count("router.routed", self.counts["routed"])
         tm.count("router.remapped", self.counts["remapped"])
         tm.count("router.ring_rebuilds", self.counts["ring_rebuilds"])
@@ -1323,10 +1537,11 @@ def run_cluster(
             duration = float(trace.arrival_s[-1])
         simulation.run(duration)
         simulation.flush_counters()
-    c = simulation.lat_count
+    served = simulation.lat_idx[:simulation.lat_count]
+    simulation.outcome[served] = _COMPLETED
     latencies = simulation.latencies_s()
     latencies *= 1e3  # seconds → milliseconds, in place
-    priorities = trace.priority[simulation.lat_idx[:c]]
+    priorities = trace.priority[served]
     return ClusterReport(
         config=config,
         meta=dict(trace.meta),
@@ -1343,6 +1558,9 @@ def run_cluster(
         horizon_s=simulation.horizon_s,
         queue_depth_samples=simulation.queue_depth_samples,
         counters=dict(collector.counters),
+        outcomes=simulation.outcome,
+        served_idx=served,
+        batch_log=simulation.batch_log(),
         placements={
             d.source: d for d in simulation.placements if d is not None
         },

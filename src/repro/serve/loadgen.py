@@ -16,13 +16,14 @@ run — and one :class:`LoadSpec` describes all three:
 - **priority/deadline mix**: a fixed fraction of traffic is interactive
   with a relative deadline; the rest splits batch/best-effort.
 
-The one arrival sampler is the cluster tier's vectorized
+The one arrival sampler is the vectorized
 :func:`repro.serve.cluster.trace.generate_trace`;
-:func:`generate_requests` is a per-request view of that trace for the
-single-fleet simulator, so a seed means the same traffic at either
-tier.  Logs round-trip through JSONL (:func:`write_request_log` /
-:func:`read_request_log`) for replay and offline analysis; the reader
-rejects any log the simulator could not account for.
+:func:`generate_requests` is a per-request view of that trace (what
+single-fleet serving and its request logs work with), so a seed means
+the same traffic at either tier.  Logs round-trip through JSONL
+(:func:`write_request_log` / :func:`read_request_log`) for replay and
+offline analysis; the reader rejects any log the simulator could not
+account for.
 """
 
 from __future__ import annotations
@@ -166,11 +167,13 @@ def write_request_log(
 def read_request_log(path: str | Path) -> list[SolveRequest]:
     """Parse a JSONL request log, arrival-ordered.
 
-    Every non-blank line must be a JSON object with ``request_id``,
-    ``source`` and a finite, non-negative ``arrival_s``, and ids must be
-    unique: the scheduler tracks queued requests by id, so a duplicate
-    would silently lose a request.  Anything else raises
-    :class:`~repro.errors.ValidationError` naming the line.
+    Every non-blank line must be a JSON object with an integer
+    ``request_id``, a ``source`` and a finite, non-negative
+    ``arrival_s``; a ``deadline_s``, when present, must be finite (a NaN
+    deadline never lapses).  Ids must be unique: responses are matched
+    to requests by id, so a duplicate would silently lose a request.
+    Anything else raises :class:`~repro.errors.ValidationError` naming
+    the line.
     """
     requests: list[SolveRequest] = []
     seen: set[int] = set()
@@ -190,6 +193,11 @@ def read_request_log(path: str | Path) -> list[SolveRequest]:
             raise ValidationError(
                 f"{where}: missing key(s) {', '.join(missing)}"
             )
+        request_id = payload["request_id"]
+        if isinstance(request_id, bool) or not isinstance(request_id, int):
+            raise ValidationError(
+                f"{where}: request_id must be an integer, got {request_id!r}"
+            )
         try:
             request = SolveRequest.from_dict(payload)
         except (TypeError, ValueError) as exc:
@@ -198,6 +206,12 @@ def read_request_log(path: str | Path) -> list[SolveRequest]:
             raise ValidationError(
                 f"{where}: arrival_s must be finite and >= 0, "
                 f"got {request.arrival_s}"
+            )
+        if request.deadline_s is not None and not math.isfinite(
+            request.deadline_s
+        ):
+            raise ValidationError(
+                f"{where}: deadline_s must be finite, got {request.deadline_s}"
             )
         if request.request_id in seen:
             raise ValidationError(

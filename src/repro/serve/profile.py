@@ -12,9 +12,8 @@ many unique sources, or call it directly in-process for lazy misses;
 :func:`build_profiles` does exactly that for both serving tiers.
 
 :func:`price_batch` turns a profile into the device time one
-micro-batch occupies a slot.  It is the only place the serving tiers'
-charge rules live, so the single-fleet scheduler and the cluster price
-the same batch identically.
+micro-batch occupies a slot.  It is the only place the serving
+simulator's charge rules live, for one fleet and a cluster alike.
 
 Host-side analysis latency is modeled with explicit constants below:
 the Matrix Structure unit reads every stored entry (dominance sums plus

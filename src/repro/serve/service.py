@@ -1,46 +1,52 @@
-"""The serving simulator: admission → micro-batching → fleet, on a
-virtual clock.
+"""Single-fleet serving: one fleet of the cluster simulator.
 
-:func:`run_service` consumes a request log (usually from
-:mod:`repro.serve.loadgen`) and produces a :class:`ServingReport`.  The
-simulation is **discrete-event over scheduling ticks**: virtual time
-advances in fixed quanta (``TICK_MS``); each tick admits the arrivals it
-covers, expires lapsed deadlines, and lets the scheduler place ripe
-micro-batches on free fleet slots.  All latencies are simulated —
-device compute from the FPGA cost model, analysis/configuration charges
-from the profile constants — so a fixed request log yields a
-byte-identical JSON report on every run, on every machine.
+:func:`run_service` serves a request log and :func:`run_loadtest`
+synthetic traffic on **one** fleet.  The log becomes one
+:class:`~repro.serve.cluster.trace.RequestTrace` (row ``i`` is the
+``i``-th request in arrival order) and runs through
+:func:`~repro.serve.cluster.service.run_cluster` with one fleet,
+autoscaling off and :data:`FLEET_EPOCH_S` epochs, so there is one
+serving model: a bounded admission queue, epoch-swept deadline expiry,
+fill-window micro-batching (an interactive head departs at once),
+:func:`~repro.serve.profile.price_batch` charges and the plan cache.
+:class:`ServingReport` is the single-fleet JSON view of the resulting
+:class:`~repro.serve.cluster.service.ClusterReport`, plus a per-request
+response log built from the cluster's outcome record.
 
-Real numerics still happen: every unique source is profiled once with a
-true Acamar solve (dispatched through :mod:`repro.parallel` when
-``workers > 1``), and its decision-loop outcome is what the simulator
-replays.  Wall-clock quantities (profiling spans) live only in the
-separate telemetry export, never in the deterministic report.
+Everything runs on the virtual clock, so a fixed request log yields a
+byte-identical report on every run, on every machine.  Real numerics
+still happen: every unique source is profiled once with a true Acamar
+solve (:func:`build_profiles`, parallel when ``workers > 1``), and its
+decision-loop outcome is what the simulator replays.  Wall-clock
+quantities (profiling spans) live only in the separate telemetry
+export, never in the deterministic report.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.errors import ConfigurationError
-from repro.fpga.multitenancy import FleetSpec
-from repro.serve.admission import AdmissionController, AdmissionVerdict
-from repro.serve.api import (
-    PRIORITY_NAMES,
-    Outcome,
-    Priority,
-    SolveRequest,
-    SolveResponse,
+from repro.placement import FPGA, GPU
+from repro.serve.api import Outcome, SolveRequest, SolveResponse
+from repro.serve.cluster.service import (
+    OUTCOMES,
+    ClusterConfig,
+    ClusterReport,
+    run_cluster,
 )
-from repro.serve.cache import PlanCache
-from repro.serve.profile import DRAIN_LIMIT_FACTOR, build_profiles
-from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
-from repro.serve.stats import format_latency_ms, latency_summary_ms
+from repro.serve.cluster.trace import RequestTrace
+from repro.serve.profile import SolveProfile, build_profiles
+from repro.serve.stats import format_latency_ms
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover — type name only, avoids eager import
@@ -48,212 +54,315 @@ if TYPE_CHECKING:  # pragma: no cover — type name only, avoids eager import
 
 SERVING_SCHEMA_VERSION = 1
 
-TICK_MS = 0.5
-"""Scheduling quantum of the virtual clock, in milliseconds."""
+FLEET_EPOCH_S = 0.05
+"""Epoch length of the one-fleet path: arrivals are admitted and
+deadlines swept every 50 ms of virtual time.  A fleet admits an epoch's
+arrivals against its queue room at the epoch start, so the epoch must be
+short next to ``queue_capacity / rate``: 1 s epochs shed 238 of the
+canonical 558-request loadtest at queue 64; 50 ms epochs shed none."""
+
+FLEET_DEFAULTS: dict[str, Any] = {
+    "slots_per_fleet": 4,
+    "max_batch": 8,
+    "batch_fill_ms": 1.0,
+    "queue_capacity": 64,
+}
+"""Single-fleet defaults (a small deployment) over :class:`ClusterConfig`'s."""
+
+_RESPONSE = {
+    "completed": (Outcome.COMPLETED, ""),
+    "shed_overflow": (Outcome.SHED, "queue_full"),
+    "shed_drain_limit": (Outcome.SHED, "drain limit reached"),
+    "expired": (Outcome.EXPIRED, "deadline expired in queue"),
+    "failed": (Outcome.FAILED, ""),  # detail: the profiling error
+}
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Knobs of the serving layer (defaults favor a small deployment)."""
+def _epoch_s(batch_fill_ms: float) -> float:
+    """:data:`FLEET_EPOCH_S`, stretched to the first multiple of it that
+    is longer than the fill window (the cluster requires fill < epoch)."""
+    fill_s = batch_fill_ms * 1e-3
+    if not math.isfinite(fill_s) or fill_s < FLEET_EPOCH_S:
+        return FLEET_EPOCH_S  # ClusterConfig rejects a non-finite fill
+    epochs = math.floor(fill_s / FLEET_EPOCH_S) + 1
+    epoch = round(epochs * FLEET_EPOCH_S, 9)
+    if epoch <= fill_s:  # the quotient rounded down
+        epoch = round((epochs + 1) * FLEET_EPOCH_S, 9)
+    # Past ~1e14 s a float no longer resolves 50 ms steps.
+    return max(epoch, math.nextafter(fill_s, math.inf))
 
-    queue_capacity: int = 64
-    max_batch: int = 8
-    batch_window_ms: float = 1.0
-    cache_enabled: bool = True
-    cache_capacity: int = 256
-    fleet: FleetSpec = field(default_factory=FleetSpec)
-    workers: int = 1
-    device_faults: tuple[DeviceFaultEvent, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
+def _one_fleet(batch_fill_ms: float) -> dict[str, Any]:
+    return {
+        "initial_fleets": 1,
+        "min_fleets": 1,
+        "max_fleets": 1,
+        "autoscale": False,
+        "interval_s": _epoch_s(batch_fill_ms),
+    }
 
-    def as_dict(self) -> dict[str, Any]:
-        fleet: dict[str, Any] = {
-            "devices": self.fleet.devices,
-            "slots_per_device": self.fleet.slots_per_device,
-            "total_slots": self.fleet.total_slots,
-        }
-        # Tenancy-mix keys appear only on heterogeneous fleets so the
-        # pure-FPGA config schema (and its committed goldens) stay
-        # byte-identical.
-        if self.fleet.gpu_tenants or self.fleet.cpu_assist:
-            fleet["gpu_tenants"] = self.fleet.gpu_tenants
-            fleet["cpu_assist"] = self.fleet.cpu_assist
-        return {
-            "queue_capacity": self.queue_capacity,
-            "max_batch": self.max_batch,
-            "batch_window_ms": self.batch_window_ms,
-            "tick_ms": TICK_MS,
-            "cache_enabled": self.cache_enabled,
-            "cache_capacity": self.cache_capacity,
-            "fleet": fleet,
-            "device_faults": len(self.device_faults),
-        }
+
+def fleet_config(**fields: Any) -> ClusterConfig:
+    """The one-fleet :class:`ClusterConfig`: :data:`FLEET_DEFAULTS`,
+    overridden by ``fields`` (any :class:`ClusterConfig` field but the
+    fleet count, autoscaling and the epoch, which are fixed)."""
+    fields = {**FLEET_DEFAULTS, **fields}
+    return ClusterConfig(**fields, **_one_fleet(fields["batch_fill_ms"]))
+
+
+def _trace_of(requests: Sequence[SolveRequest]) -> RequestTrace:
+    """One trace row per request, in the (arrival-sorted) given order."""
+    sources = tuple(dict.fromkeys(r.source for r in requests))
+    index = {source: i for i, source in enumerate(sources)}
+    return RequestTrace(
+        sources=sources,
+        arrival_s=np.array(
+            [r.arrival_s for r in requests], dtype=np.float64
+        ),
+        source_idx=np.array(
+            [index[r.source] for r in requests], dtype=np.int16
+        ),
+        priority=np.array([int(r.priority) for r in requests], dtype=np.int8),
+        deadline_s=np.array(
+            [math.inf if r.deadline_s is None else r.deadline_s
+             for r in requests],
+            dtype=np.float64,
+        ),
+    )
 
 
 @dataclass
 class ServingReport:
-    """Everything one serving run produced, with a stable JSON form."""
+    """The single-fleet view of one :class:`ClusterReport`.
 
-    config: ServiceConfig
+    ``requests`` is the served log in arrival order (row ``i`` of
+    ``trace``); :attr:`responses` gives every request exactly one
+    :class:`SolveResponse`, built from the cluster's per-request outcome
+    record and batch log.
+    """
+
+    cluster: ClusterReport
     requests: list[SolveRequest]
-    responses: list[SolveResponse]
-    queue_depth_samples: list[int]
-    scheduler: MicroBatchScheduler
-    admission: AdmissionController
-    cache: PlanCache | None
-    horizon_s: float
-    counters: dict[str, int]
+    trace: RequestTrace
+    profiles: dict[str, "SolveProfile | str"]
     telemetry: Telemetry = field(default_factory=Telemetry)
     meta: dict[str, Any] = field(default_factory=dict)
 
-    # -- derived statistics -------------------------------------------
-
-    def _by_outcome(self, outcome: Outcome) -> list[SolveResponse]:
-        return [r for r in self.responses if r.outcome is outcome]
+    @property
+    def config(self) -> ClusterConfig:
+        return self.cluster.config
 
     @property
-    def completed(self) -> list[SolveResponse]:
-        return self._by_outcome(Outcome.COMPLETED)
-
-    @property
-    def shed_count(self) -> int:
-        return len(self._by_outcome(Outcome.SHED))
-
-    @property
-    def expired_count(self) -> int:
-        return len(self._by_outcome(Outcome.EXPIRED))
+    def counters(self) -> dict[str, int]:
+        return dict(self.telemetry.counters)
 
     @property
     def unaccounted(self) -> int:
-        """Requests without a response — the invariant says zero."""
-        return len(self.requests) - len(self.responses)
+        """Requests in no outcome bucket — the invariant says zero."""
+        return self.cluster.unaccounted
+
+    @property
+    def shed_count(self) -> int:
+        counts = self.cluster.counts
+        return counts["shed_overflow"] + counts["shed_drain_limit"]
+
+    @property
+    def expired_count(self) -> int:
+        return self.cluster.counts["expired"]
 
     @property
     def cache_hit_rate(self) -> float:
-        done = self.completed
-        if not done:
-            return 0.0
-        return sum(r.cache_hit for r in done) / len(done)
+        """Share of completed requests served by a warm batch."""
+        log = self.cluster.batch_log
+        done = int(log.size.sum())
+        return int(log.size[~log.cold].sum()) / done if done else 0.0
 
-    def latency_stats_ms(
-        self, responses: Sequence[SolveResponse]
-    ) -> dict[str, float]:
-        return latency_summary_ms([r.latency_s * 1e3 for r in responses])
+    # -- per-request record ---------------------------------------------
+
+    def _served(self) -> dict[str, np.ndarray]:
+        """Finish, service start and batch of each completed request,
+        aligned with ``cluster.served_idx``."""
+        log = self.cluster.batch_log
+        sizes = log.size
+        batch = np.repeat(np.arange(len(log)), sizes)
+        member = np.arange(batch.shape[0]) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        step = log.step_s[batch]
+        finish = log.first_finish_s[batch] + step * member
+        start = np.where(member == 0, log.start_s[batch], finish - step)
+        return {"batch": batch, "finish": finish, "start": start}
+
+    @cached_property
+    def responses(self) -> list[SolveResponse]:
+        """One response per accounted request, by (finish, request id)."""
+        trace, cluster = self.trace, self.cluster
+        # Unserved requests end on arrival (shed, failed) or at their
+        # lapsed deadline (expired); served ones as the batch log says.
+        expired = cluster.outcomes == OUTCOMES.index("expired")
+        finish = np.where(expired, trace.deadline_s, trace.arrival_s)
+        start = finish.copy()
+        batch = np.full(len(trace), -1, dtype=np.int64)
+        served = self._served()
+        finish[cluster.served_idx] = served["finish"]
+        start[cluster.served_idx] = served["start"]
+        batch[cluster.served_idx] = served["batch"]
+        slots = cluster.batch_log.slot.tolist()
+        cold = cluster.batch_log.cold.tolist()
+        responses = []
+        for request, code, done, began, batch_id in zip(
+            self.requests, cluster.outcomes.tolist(), finish.tolist(),
+            start.tolist(), batch.tolist(),
+        ):
+            if not code:  # unaccounted: no response to give
+                continue
+            outcome, detail = _RESPONSE[OUTCOMES[code]]
+            profile = self.profiles[request.source]
+            solved = {} if batch_id < 0 else dict(
+                service_s=done - began,
+                cache_hit=not cold[batch_id],
+                batch_id=batch_id,
+                instance=slots[batch_id],
+                converged=profile.converged,
+                solver_sequence=profile.solver_sequence,
+                iterations=profile.iterations,
+            )
+            responses.append(SolveResponse(
+                request_id=request.request_id,
+                source=request.source,
+                outcome=outcome,
+                priority=request.priority,
+                arrival_s=request.arrival_s,
+                finish_s=done,
+                queue_s=began - request.arrival_s,
+                detail=profile if outcome is Outcome.FAILED else detail,
+                **solved,
+            ))
+        responses.sort(key=lambda r: (r.finish_s, r.request_id))
+        return responses
+
+    @property
+    def completed(self) -> list[SolveResponse]:
+        return [r for r in self.responses if r.outcome is Outcome.COMPLETED]
+
+    # -- JSON view ------------------------------------------------------
+
+    def _config_dict(self) -> dict[str, Any]:
+        config = self.config
+        fleet: dict[str, Any] = {"total_slots": config.slots_per_fleet}
+        # Tenancy-mix keys appear only on heterogeneous fleets so the
+        # pure-FPGA config schema stays minimal.
+        if config.heterogeneous:
+            fleet["gpu_tenants"] = config.gpu_tenants_per_fleet
+            fleet["cpu_assist"] = config.cpu_assist
+        return {
+            "queue_capacity": config.queue_capacity,
+            "max_batch": config.max_batch,
+            "batch_window_ms": config.batch_fill_ms,
+            "epoch_s": config.interval_s,
+            "cache_enabled": config.cache_capacity > 0,
+            "cache_capacity": config.cache_capacity,
+            "fleet": fleet,
+            "device_faults": len(config.device_faults),
+        }
+
+    def _converged(self) -> int:
+        counts = np.bincount(
+            self.trace.source_idx[self.cluster.served_idx],
+            minlength=len(self.trace.sources),
+        )
+        return sum(
+            int(count)
+            for source, count in zip(self.trace.sources, counts)
+            if isinstance(self.profiles[source], SolveProfile)
+            and self.profiles[source].converged
+        )
+
+    def _fleet_by_class(self) -> dict[str, Any]:
+        """Busy time, batches, loads and outages split by device class."""
+        fleet = self.cluster.fleets[0]
+        section: dict[str, Any] = {}
+        for index in range(fleet.slots):
+            stats = section.setdefault(
+                GPU if index >= fleet.fpga_slots else FPGA,
+                {"slots": 0, "device_seconds": 0.0, "batches": 0,
+                 "config_loads": 0, "outages": 0},
+            )
+            stats["slots"] += 1
+            stats["device_seconds"] += fleet.slot_busy[index]
+            stats["outages"] += fleet.slot_outages[index]
+        if FPGA in section:
+            section[FPGA]["batches"] = fleet.batches - fleet.gpu_batches
+            section[FPGA]["config_loads"] = fleet.config_loads
+        if GPU in section:
+            section[GPU]["batches"] = fleet.gpu_batches
+            section[GPU]["config_loads"] = fleet.gpu_transfers
+        for stats in section.values():
+            stats["device_seconds"] = round(stats["device_seconds"], 9)
+        return dict(sorted(section.items()))
 
     def as_dict(self, include_responses: bool = True) -> dict[str, Any]:
-        done = self.completed
-        generated = len(self.requests)
-        batch_sizes = [b.size for b in self.scheduler.batches]
+        cluster = self.cluster.as_dict()
+        counts = self.cluster.counts
+        fleet = self.cluster.fleets[0]
+        cache = self.cluster.cache
+        generated = self.cluster.generated
+        shed, expired = self.shed_count, self.expired_count
+        horizon = self.cluster.horizon_s
         document: dict[str, Any] = {
             "schema_version": SERVING_SCHEMA_VERSION,
-            "serving": {**self.meta, **self.config.as_dict()},
+            "serving": {**self.meta, **self._config_dict()},
             "requests": {
                 "generated": generated,
-                "completed": len(done),
-                "converged": sum(1 for r in done if r.converged),
-                "failed": len(self._by_outcome(Outcome.FAILED)),
-                "shed": self.shed_count,
-                "expired": self.expired_count,
+                "completed": counts["completed"],
+                "converged": self._converged(),
+                "failed": counts["failed"],
+                "shed": shed,
+                "expired": expired,
                 "unaccounted": self.unaccounted,
                 "shed_rate": round(
-                    (self.shed_count + self.expired_count) / generated, 9
+                    (shed + expired) / generated, 9
                 ) if generated else 0.0,
             },
-            "latency_ms": {
-                "overall": self.latency_stats_ms(done),
-                "by_priority": {
-                    PRIORITY_NAMES[priority]: self.latency_stats_ms(
-                        [r for r in done if r.priority is priority]
-                    )
-                    for priority in Priority
-                },
-            },
+            "latency_ms": cluster["latency_ms"],
             "queue": {
-                "max_depth": max(self.queue_depth_samples, default=0),
-                "mean_depth": round(
-                    sum(self.queue_depth_samples)
-                    / len(self.queue_depth_samples),
-                    9,
-                ) if self.queue_depth_samples else 0.0,
-                "shed_full": self.admission.shed_full,
-                "shed_deadline": self.admission.shed_deadline,
-                "preemptions": self.admission.preemptions,
+                **cluster["queue"],
+                "shed_full": counts["shed_overflow"],
             },
             "cache": {
-                "enabled": self.cache is not None,
+                "enabled": cache.enabled,
                 "hit_rate": round(self.cache_hit_rate, 9),
-                "entries": len(self.cache) if self.cache else 0,
-                "lookups": (
-                    self.cache.stats.as_dict() if self.cache else None
-                ),
+                "entries": cache.local_entries(fleet.fleet_id),
+                "lookups": {
+                    **cluster["cache"]["lookups"],
+                    "evictions": cache.local_evictions(),
+                },
             },
             "batches": {
-                "count": len(batch_sizes),
-                "mean_size": round(
-                    sum(batch_sizes) / len(batch_sizes), 9
-                ) if batch_sizes else 0.0,
-                "max_size": max(batch_sizes, default=0),
-                "cold": sum(1 for b in self.scheduler.batches if b.cold),
-                "config_loads": sum(
-                    s.config_loads for s in self.scheduler.slots
-                ),
+                "count": cluster["batches"]["count"],
+                "mean_size": cluster["batches"]["mean_size"],
+                "max_size": cluster["batches"]["max_size"],
+                "cold": int(np.count_nonzero(self.cluster.batch_log.cold)),
+                "config_loads": fleet.config_loads + fleet.gpu_transfers,
             },
             "fleet": {
-                "total_slots": len(self.scheduler.slots),
-                "horizon_s": round(self.horizon_s, 9),
+                "total_slots": fleet.slots,
+                "horizon_s": round(horizon, 9),
                 "busy_fraction": [
-                    round(s.busy_seconds / self.horizon_s, 9)
-                    if self.horizon_s else 0.0
-                    for s in self.scheduler.slots
+                    round(busy / horizon, 9) if horizon else 0.0
+                    for busy in fleet.slot_busy
                 ],
-                "device_seconds": round(
-                    sum(s.busy_seconds for s in self.scheduler.slots), 9
-                ),
-                "device_faults": sum(
-                    s.outages for s in self.scheduler.slots
-                ),
+                "device_seconds": cluster["fleets"]["device_seconds"],
+                "device_faults": sum(fleet.slot_outages),
             },
             "counters": dict(sorted(self.counters.items())),
         }
-        if self.scheduler.fleet.gpu_tenants > 0:
-            document["placement"] = self._placement_section()
+        if self.config.gpu_tenants_per_fleet > 0:
+            document["placement"] = cluster["placement"]
             document["fleet"]["by_class"] = self._fleet_by_class()
         if include_responses:
             document["responses"] = [r.as_dict() for r in self.responses]
         return document
-
-    def _placement_section(self) -> dict[str, Any]:
-        """Per-source decisions plus the Table-II-style scenario matrix."""
-        from repro.placement import placement_section
-
-        decisions = {}
-        for source, profile in self.scheduler.profiles.items():
-            if isinstance(profile, str):
-                continue
-            decisions[source] = self.scheduler.placement_for(source)
-        return placement_section(decisions)
-
-    def _fleet_by_class(self) -> dict[str, Any]:
-        """Busy-time and batch accounting split by device class."""
-        section: dict[str, Any] = {}
-        for slot in self.scheduler.slots:
-            stats = section.setdefault(
-                slot.device_class,
-                {"slots": 0, "device_seconds": 0.0, "batches": 0,
-                 "config_loads": 0},
-            )
-            stats["slots"] += 1
-            stats["device_seconds"] += slot.busy_seconds
-            stats["batches"] += slot.batches
-            stats["config_loads"] += slot.config_loads
-        for stats in section.values():
-            stats["device_seconds"] = round(stats["device_seconds"], 9)
-        return dict(sorted(section.items()))
 
     def to_json(self, include_responses: bool = True) -> str:
         return json.dumps(
@@ -301,158 +410,60 @@ class ServingReport:
 
 def run_loadtest(
     spec: "LoadSpec",
-    service_config: ServiceConfig | None = None,
+    config: ClusterConfig | None = None,
     acamar_config: AcamarConfig | None = None,
 ) -> ServingReport:
-    """Generate synthetic traffic for ``spec`` and serve it."""
+    """Generate synthetic traffic for ``spec`` and serve it on one fleet."""
     from repro.serve.loadgen import generate_requests
 
     return run_service(
-        generate_requests(spec), service_config, acamar_config,
-        meta=spec.as_dict(),
+        generate_requests(spec), config, acamar_config, meta=spec.as_dict()
     )
 
 
 def run_service(
     requests: Sequence[SolveRequest],
-    service_config: ServiceConfig | None = None,
+    config: ClusterConfig | None = None,
     acamar_config: AcamarConfig | None = None,
     meta: dict[str, Any] | None = None,
 ) -> ServingReport:
-    """Simulate serving ``requests``; every request gets one response."""
-    service_config = (
-        service_config if service_config is not None else ServiceConfig()
+    """Serve ``requests`` on one fleet; every request gets one outcome.
+
+    ``config`` defaults to :func:`fleet_config`; whatever is passed, the
+    run has one fleet, no autoscaling and :data:`FLEET_EPOCH_S` epochs
+    (stretched past a longer fill window).
+    """
+    config = fleet_config() if config is None else dataclasses.replace(
+        config, **_one_fleet(config.batch_fill_ms)
     )
     acamar_config = (
         acamar_config if acamar_config is not None else AcamarConfig()
     )
     requests = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+    trace = _trace_of(requests)
     collector = Telemetry()
     with collector.activate():
         profiles = build_profiles(
-            [r.source for r in requests],
+            list(trace.sources),
             acamar_config,
-            workers=service_config.workers,
+            workers=config.workers,
             collector=collector,
         )
-        cache = (
-            PlanCache(capacity=service_config.cache_capacity)
-            if service_config.cache_enabled
-            else None
-        )
-        scheduler = MicroBatchScheduler(
-            fleet=service_config.fleet,
+        cluster = run_cluster(trace, config, acamar_config, profiles=profiles)
+        collector.merge(cluster.telemetry)
+        report = ServingReport(
+            cluster=cluster,
+            requests=requests,
+            trace=trace,
             profiles=profiles,
-            cache=cache,
-            max_batch=service_config.max_batch,
-            batch_window_s=service_config.batch_window_ms * 1e-3,
-            device_faults=service_config.device_faults,
+            telemetry=collector,
+            meta=dict(meta or {}),
         )
-        admission = AdmissionController(
-            capacity=service_config.queue_capacity
-        )
-        responses: list[SolveResponse] = []
-        queue_depth_samples: list[int] = []
-        tick = TICK_MS * 1e-3
-        duration = requests[-1].arrival_s if requests else 0.0
-        drain_limit = max(duration, tick) * DRAIN_LIMIT_FACTOR
-        pointer = 0
-        batch_id = 0
-        now = 0.0
-        step = 0
-        while pointer < len(requests) or admission.queue:
-            now = step * tick
-            # 1. Admit (or shed) every arrival this tick covers, at its
-            #    own arrival timestamp so deadline math stays exact.
-            while (
-                pointer < len(requests)
-                and requests[pointer].arrival_s <= now
-            ):
-                request = requests[pointer]
-                pointer += 1
-                tm.count("serve.requests")
-                verdict, victim = admission.offer(request, request.arrival_s)
-                if victim is not None:
-                    responses.append(
-                        SolveResponse(
-                            request_id=victim.request.request_id,
-                            source=victim.request.source,
-                            outcome=Outcome.SHED,
-                            priority=victim.request.priority,
-                            arrival_s=victim.request.arrival_s,
-                            finish_s=request.arrival_s,
-                            detail="preempted: displaced by higher priority",
-                        )
-                    )
-                if verdict is not AdmissionVerdict.ADMITTED:
-                    responses.append(
-                        SolveResponse(
-                            request_id=request.request_id,
-                            source=request.source,
-                            outcome=Outcome.SHED,
-                            priority=request.priority,
-                            arrival_s=request.arrival_s,
-                            finish_s=request.arrival_s,
-                            detail=verdict.value,
-                        )
-                    )
-            # 2. Expire queued requests whose deadline lapsed.
-            for lapsed in admission.expire(now):
-                responses.append(
-                    SolveResponse(
-                        request_id=lapsed.request.request_id,
-                        source=lapsed.request.source,
-                        outcome=Outcome.EXPIRED,
-                        priority=lapsed.request.priority,
-                        arrival_s=lapsed.request.arrival_s,
-                        finish_s=lapsed.request.deadline_s or now,
-                        queue_s=(lapsed.request.deadline_s or now)
-                        - lapsed.request.arrival_s,
-                        detail="deadline expired in queue",
-                    )
-                )
-            # 3. Dispatch ripe micro-batches onto free slots.
-            batch_responses, admission.queue, batch_id = scheduler.dispatch(
-                admission.queue, now, batch_id
-            )
-            responses.extend(batch_responses)
-            queue_depth_samples.append(admission.depth())
-            step += 1
-            if now > drain_limit and admission.queue:
-                for queued in admission.queue:
-                    responses.append(
-                        SolveResponse(
-                            request_id=queued.request.request_id,
-                            source=queued.request.source,
-                            outcome=Outcome.SHED,
-                            priority=queued.request.priority,
-                            arrival_s=queued.request.arrival_s,
-                            finish_s=now,
-                            detail="drain limit reached",
-                        )
-                    )
-                    tm.count("serve.shed.drain_limit")
-                admission.queue = []
-                break
-        for response in responses:
-            if response.outcome is Outcome.COMPLETED:
-                tm.observe("serve.latency_ms", response.latency_s * 1e3)
-    responses.sort(key=lambda r: (r.finish_s, r.request_id))
-    horizon = max(
-        [duration]
-        + [slot.busy_until_s for slot in scheduler.slots]
-        + [r.finish_s for r in responses]
-    ) if (requests or responses) else 0.0
-    return ServingReport(
-        config=service_config,
-        requests=list(requests),
-        responses=responses,
-        queue_depth_samples=queue_depth_samples,
-        scheduler=scheduler,
-        admission=admission,
-        cache=cache,
-        horizon_s=horizon,
-        counters=dict(collector.counters),
-        telemetry=collector,
-        meta=dict(meta or {}),
-    )
+        tm.count("serve.requests", len(requests))
+        latencies = report._served()["finish"] - trace.arrival_s[
+            cluster.served_idx
+        ]
+        for latency in latencies.tolist():
+            tm.observe("serve.latency_ms", latency * 1e3)
+    return report
+

@@ -1,10 +1,9 @@
-"""Shared latency-summary statistics for serving reports.
+"""Latency-summary statistics for serving reports.
 
-Both the single-fleet :class:`~repro.serve.service.ServingReport` and the
-cluster :class:`~repro.serve.cluster.service.ClusterReport` publish the
-same percentile-summary shape for latency populations.  Keeping the
-computation here means the two reports cannot drift apart: a dashboard
-keyed on ``{count, mean, p50, p90, p99, max}`` reads either one.
+The serving simulator summarizes each latency population — overall and
+per priority class — as ``{count, mean, p50, p90, p99, max}``; the
+single-fleet and cluster reports publish the same section, so a
+dashboard keyed on that shape reads either one.
 
 Values are rounded to 6 decimals (microsecond precision on
 millisecond-scale numbers) so the JSON forms stay byte-stable across
@@ -13,40 +12,9 @@ runs and machines.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
-
-from repro.telemetry import percentile
-
-
-def latency_summary_ms(values: Sequence[float]) -> dict[str, Any]:
-    """Percentile summary of a latency population (milliseconds).
-
-    An empty population reports ``count: 0`` with null statistics — an
-    idle fleet's p50/p99 must be distinguishable from a fleet that
-    genuinely served in zero milliseconds (the old 0.0 sentinel made
-    zero-completion configurations look infinitely fast to capacity
-    planning and frontier extraction).
-    """
-    data = [float(v) for v in values]
-    if not data:
-        return {
-            "count": 0,
-            "mean": None,
-            "p50": None,
-            "p90": None,
-            "p99": None,
-            "max": None,
-        }
-    return {
-        "count": len(data),
-        "mean": round(sum(data) / len(data), 6),
-        "p50": round(percentile(data, 50.0), 6),
-        "p90": round(percentile(data, 90.0), 6),
-        "p99": round(percentile(data, 99.0), 6),
-        "max": round(max(data), 6),
-    }
 
 
 def format_latency_ms(value: Any) -> str:
@@ -63,12 +31,14 @@ def format_latency_ms(value: Any) -> str:
 def latency_summary_ms_array(
     values: "np.ndarray", *, consume: bool = False
 ) -> dict[str, Any]:
-    """Same summary shape for an array population (cluster scale).
+    """Percentile summary of a latency population (milliseconds).
 
-    ``numpy.percentile``'s default linear-interpolation method matches
-    :func:`repro.telemetry.percentile`, so the two paths agree; the
-    array path exists because materializing tens of millions of
-    latencies as a Python list would dominate the cluster run.
+    An empty population reports ``count: 0`` with null statistics — an
+    idle fleet's p50/p99 must be distinguishable from a fleet that
+    genuinely served in zero milliseconds (a 0.0 sentinel would make
+    zero-completion configurations look infinitely fast to capacity
+    planning and frontier extraction).  ``numpy.percentile``'s default
+    linear interpolation matches :func:`repro.telemetry.percentile`.
 
     With ``consume=True`` the input array is partitioned in place (its
     element *order* is destroyed, the multiset of values is preserved)
@@ -77,7 +47,14 @@ def latency_summary_ms_array(
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
-        return latency_summary_ms([])
+        return {
+            "count": 0,
+            "mean": None,
+            "p50": None,
+            "p90": None,
+            "p99": None,
+            "max": None,
+        }
     p50, p90, p99 = np.percentile(
         arr, [50.0, 90.0, 99.0], overwrite_input=consume
     )

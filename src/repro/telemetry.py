@@ -84,19 +84,9 @@ KNOWN_COUNTERS = frozenset({
     # campaign engine
     "campaign.failures",
     "campaign.workers_lost",
-    # serving pipeline
+    # serving pipeline (single-fleet entry points; the simulator's own
+    # accounting is the cluster.* family below)
     "serve.requests",
-    "serve.admitted",
-    "serve.preemptions",
-    "serve.expired",
-    "serve.batches",
-    "serve.failed",
-    "serve.config_loads",
-    "serve.cache_hits",
-    "serve.cache_misses",
-    "serve.shed.deadline",
-    "serve.shed.queue_full",
-    "serve.shed.drain_limit",
     "serve.profile_failures",
     "serve.device_faults",
     # cluster tier (repro.serve.cluster): request accounting
@@ -144,7 +134,7 @@ KNOWN_COUNTERS = frozenset({
     "lint.cache_misses",
     # heterogeneous placement (repro.placement consumers): micro-batches
     # dispatched per device class, GPU structure uploads (the PCIe
-    # analogue of serve.config_loads) and cold analyses offloaded to the
+    # analogue of cluster.config_loads) and cold analyses offloaded to the
     # CPU-assist tier
     "placement.fpga_batches",
     "placement.gpu_batches",
@@ -223,7 +213,7 @@ def percentile(values: list[float], q: float) -> float:
     Returns 0.0 for an empty list — callers that must distinguish "no
     data" from "zero" (summaries, reports) check emptiness themselves
     and publish ``None``; see :meth:`Telemetry._distribution_summary`
-    and :func:`repro.serve.stats.latency_summary_ms`.
+    and :func:`repro.serve.stats.latency_summary_ms_array`.
     """
     if not values:
         return 0.0

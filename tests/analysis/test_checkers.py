@@ -280,8 +280,8 @@ class TestTelemetryNames:
         code = (
             "from repro import telemetry as tm\n"
             "def f(warm):\n"
-            "    tm.count('serve.cache_hits' if warm else"
-            " 'serve.cache_misses')\n"
+            "    tm.count('cache.tier.local_hits' if warm else"
+            " 'cache.tier.misses')\n"
             "    tm.observe('serve.latency_ms', 1.0)\n"
             "    with tm.span('kernel.spmv'):\n        pass\n"
         )

@@ -131,7 +131,7 @@ class TestAccounting:
             sim = _ClusterSimulation(trace, small_config(), profiles)
             sim.run(spec.duration_s)
         c = sim.lat_count
-        arrivals = sim.lat_arrival[:c].copy()  # consumed as scratch below
+        arrivals = trace.arrival_s[sim.lat_idx[:c]]
         got = sim.latencies_s()
         sizes = np.asarray(sim.batch_size, dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
@@ -143,6 +143,37 @@ class TestAccounting:
         reference = (first - arrivals) + step * position
         assert np.abs(got - reference).max() < 1e-9
         assert np.all(got > 0.0)
+
+    def test_fleet_tallies_match_running_totals(self):
+        # Per-fleet tallies come from the batch log after the run; they
+        # must equal totals kept batch by batch, to the last bit.
+        report = run_cluster_loadtest(
+            small_spec(), small_config(gpu_tenants_per_fleet=1)
+        )
+        log = report.batch_log
+        for fleet in report.fleets:
+            busy = 0.0
+            slot_busy = [0.0] * fleet.slots
+            sizes = []
+            gpu_batches = 0
+            for j in range(len(log)):
+                if log.fleet[j] != fleet.fleet_id:
+                    continue
+                end = log.first_finish_s[j] + log.step_s[j] * (
+                    int(log.size[j]) - 1
+                )
+                busy += end - log.start_s[j]
+                slot_busy[log.slot[j]] += end - log.start_s[j]
+                sizes.append(int(log.size[j]))
+                gpu_batches += bool(log.slot[j] >= fleet.fpga_slots)
+            assert fleet.busy_seconds == busy
+            assert fleet.slot_busy == slot_busy
+            assert fleet.batches == len(sizes)
+            assert fleet.completed == fleet.batch_members == sum(sizes)
+            assert fleet.max_batch_size == max(sizes, default=0)
+            assert fleet.gpu_batches == gpu_batches
+        assert sum(f.batches for f in report.fleets) == len(log) > 0
+        assert any(f.gpu_batches for f in report.fleets)
 
 
 class TestRoutingAffinity:

@@ -1,153 +1,90 @@
-"""Tests for the bounded admission queue with preemptive admission."""
+"""Admission and expiry of the one serving simulator.
+
+A fleet admits each epoch's arrivals against the room left in its
+bounded queue (tail-drop: the newest overflow is shed, whatever its
+priority) and sweeps lapsed deadlines at epoch boundaries.  Runs here
+use one fleet, ``FLEET_EPOCH_S`` (50 ms) epochs and synthetic profiles.
+"""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.admission import AdmissionController, AdmissionVerdict
-from repro.serve.api import Priority, SolveRequest
+from repro.serve.api import Outcome, Priority
+from repro.serve.cluster.service import ClusterConfig
+from tests.serve.synthetic import by_id, outcomes, serve, synthetic
 
-
-def request(rid, priority=Priority.BATCH, arrival=None, deadline=None):
-    return SolveRequest(
-        request_id=rid,
-        source="Wa",
-        arrival_s=float(rid) * 1e-3 if arrival is None else arrival,
-        priority=priority,
-        deadline_s=deadline,
-    )
+# Head service of a cold batch: a 5 ms load plus ~56 ms of work, so the
+# one slot stays busy across the first epoch boundary (t = 0.05).
+LONG = {"S": synthetic("S", attempts=(0.055,))}
 
 
 class TestAdmission:
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
-            AdmissionController(capacity=0)
+            ClusterConfig(queue_capacity=0)
 
     def test_admits_under_capacity(self):
-        controller = AdmissionController(capacity=2)
-        verdict, victim = controller.offer(request(0), now=0.0)
-        assert verdict is AdmissionVerdict.ADMITTED
-        assert victim is None
-        assert controller.depth() == 1
+        report = serve(
+            [(0.0, "S"), (0.01, "S"), (0.02, "S")], LONG,
+            slots_per_fleet=1, queue_capacity=8,
+        )
+        assert outcomes(report) == ["completed"] * 3
+        assert report.shed_count == 0
+        assert report.unaccounted == 0
 
     def test_sheds_when_full_and_not_outranking(self):
-        controller = AdmissionController(capacity=1)
-        controller.offer(request(0, Priority.BATCH), now=0.0)
-        verdict, victim = controller.offer(
-            request(1, Priority.BATCH), now=0.0
+        # Room for two: the two newest arrivals are shed, and an
+        # interactive arrival outranks nothing already queued.
+        report = serve(
+            [
+                (0.0, "S"),
+                (0.01, "S", Priority.BEST_EFFORT),
+                (0.02, "S"),
+                (0.03, "S", Priority.INTERACTIVE, 10.0),
+            ],
+            LONG, slots_per_fleet=1, queue_capacity=2,
         )
-        assert verdict is AdmissionVerdict.SHED_QUEUE_FULL
-        assert victim is None
-        assert controller.shed_full == 1
-        assert controller.depth() == 1
-
-    def test_preempts_lowest_priority_youngest(self):
-        controller = AdmissionController(capacity=3)
-        controller.offer(request(0, Priority.BATCH), now=0.0)
-        controller.offer(request(1, Priority.BEST_EFFORT), now=0.0)
-        controller.offer(request(2, Priority.BEST_EFFORT), now=0.0)
-        verdict, victim = controller.offer(
-            request(3, Priority.INTERACTIVE), now=0.0
-        )
-        assert verdict is AdmissionVerdict.ADMITTED
-        # Victim is the lowest class, and within it the youngest arrival.
-        assert victim.request.request_id == 2
-        assert controller.preemptions == 1
-        assert controller.depth() == 3
-
-    def test_queue_sorted_by_priority_then_fifo(self):
-        controller = AdmissionController(capacity=8)
-        controller.offer(request(0, Priority.BEST_EFFORT), now=0.0)
-        controller.offer(request(1, Priority.INTERACTIVE), now=0.0)
-        controller.offer(request(2, Priority.BATCH), now=0.0)
-        controller.offer(request(3, Priority.INTERACTIVE), now=0.0)
-        ids = [q.request.request_id for q in controller.queue]
-        assert ids == [1, 3, 2, 0]
-
-    def test_sheds_lapsed_deadline_on_arrival(self):
-        controller = AdmissionController(capacity=8)
-        verdict, _ = controller.offer(
-            request(0, Priority.INTERACTIVE, arrival=1.0, deadline=0.5),
-            now=1.0,
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
-        assert controller.shed_deadline == 1
-
-    def test_sheds_unmeetable_deadline(self):
-        controller = AdmissionController(
-            capacity=8, min_service_estimate_s=0.1
-        )
-        verdict, _ = controller.offer(
-            request(0, Priority.INTERACTIVE, arrival=0.0, deadline=0.05),
-            now=0.0,
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
+        assert outcomes(report) == [
+            "completed", "completed", "shed_overflow", "shed_overflow",
+        ]
+        responses = by_id(report)
+        assert responses[3].outcome is Outcome.SHED
+        assert responses[3].detail == "queue_full"
+        assert report.as_dict(include_responses=False)["queue"][
+            "shed_full"
+        ] == 2
 
     def test_expire_removes_lapsed_only(self):
-        controller = AdmissionController(capacity=8)
-        controller.offer(
-            request(0, Priority.INTERACTIVE, arrival=0.0, deadline=0.01),
-            now=0.0,
+        report = serve(
+            [
+                (0.0, "S"),
+                (0.01, "S", Priority.INTERACTIVE, 0.04),
+                (0.02, "S", Priority.INTERACTIVE, 10.0),
+                (0.03, "S"),
+            ],
+            LONG, slots_per_fleet=1,
         )
-        controller.offer(request(1, Priority.BATCH, arrival=0.0), now=0.0)
-        lapsed = controller.expire(now=0.02)
-        assert [q.request.request_id for q in lapsed] == [0]
-        assert [q.request.request_id for q in controller.queue] == [1]
-        assert controller.expire(now=0.02) == []
+        assert outcomes(report) == [
+            "completed", "expired", "completed", "completed",
+        ]
+        lapsed = by_id(report)[1]
+        assert lapsed.outcome is Outcome.EXPIRED
+        assert lapsed.finish_s == 0.04
+        assert lapsed.detail
 
 
 class TestDeadlineBoundary:
-    """Regression pins for the single-sourced boundary predicates.
-
-    Both admission and the expiry sweep resolve "has this deadline
-    passed" through the same predicate, with a closed boundary: a
-    deadline exactly equal to now has lapsed.  The feasibility floor is
-    the opposite edge: a deadline exactly now + min_service_estimate_s
-    is still admissible.
-    """
-
-    def test_deadline_equal_to_now_is_shed_at_admission(self):
-        controller = AdmissionController(capacity=4)
-        verdict, victim = controller.offer(
-            request(0, deadline=5.0), now=5.0
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
-        assert victim is None
-        assert controller.shed_deadline == 1
-
     def test_deadline_equal_to_now_expires_in_queue(self):
-        controller = AdmissionController(capacity=4)
-        verdict, _ = controller.offer(request(0, deadline=5.0), now=0.0)
-        assert verdict is AdmissionVerdict.ADMITTED
-        assert controller.expire(now=4.999999) == []
-        lapsed = controller.expire(now=5.0)
-        assert [q.request.request_id for q in lapsed] == [0]
-        assert controller.depth() == 0
-
-    def test_deadline_exactly_at_service_floor_is_admissible(self):
-        controller = AdmissionController(
-            capacity=4, min_service_estimate_s=0.010
+        # Closed boundary: at the t = 0.05 sweep a deadline of exactly
+        # 0.05 has lapsed, one a nanosecond later has not — that request
+        # is served once the slot frees (~0.062 s).
+        report = serve(
+            [
+                (0.0, "S"),
+                (0.01, "S", Priority.INTERACTIVE, 0.05),
+                (0.02, "S", Priority.INTERACTIVE, 0.050000001),
+            ],
+            LONG, slots_per_fleet=1,
         )
-        verdict, _ = controller.offer(
-            request(0, deadline=1.010), now=1.0
-        )
-        assert verdict is AdmissionVerdict.ADMITTED
-
-    def test_deadline_inside_service_floor_is_shed(self):
-        controller = AdmissionController(
-            capacity=4, min_service_estimate_s=0.010
-        )
-        verdict, _ = controller.offer(
-            request(0, deadline=1.0099999), now=1.0
-        )
-        assert verdict is AdmissionVerdict.SHED_DEADLINE
-
-    def test_predicates_are_single_sourced(self):
-        from repro.serve.admission import deadline_lapsed, deadline_unmeetable
-
-        assert deadline_lapsed(5.0, 5.0)
-        assert not deadline_lapsed(5.0, 4.999999999)
-        assert not deadline_lapsed(None, 1e9)
-        assert not deadline_unmeetable(None, 0.0, 10.0)
-        assert not deadline_unmeetable(1.010, 1.0, 0.010)
-        assert deadline_unmeetable(1.009, 1.0, 0.010)
-        assert deadline_unmeetable(0.5, 1.0, 0.0)
+        assert outcomes(report) == ["completed", "expired", "completed"]
+        assert by_id(report)[2].finish_s > 0.050000001

@@ -216,11 +216,32 @@ class TestMalformedRequestLog:
                 )],
                 "priority",
             ),
+            (
+                [_log_line(
+                    request_id=0, source="Wa", arrival_s=0.1,
+                    deadline_s=math.nan,
+                )],
+                "deadline_s",
+            ),
+            (
+                [_log_line(
+                    request_id=0, source="Wa", arrival_s=0.1,
+                    deadline_s=math.inf,
+                )],
+                "deadline_s",
+            ),
+            ([_log_line(request_id=True, source="Wa", arrival_s=0.1)],
+             "request_id"),
+            ([_log_line(request_id=1.5, source="Wa", arrival_s=0.1)],
+             "request_id"),
+            (['{"request_id": "3", "source": "Wa", "arrival_s": 0.1}'],
+             "request_id"),
         ],
         ids=[
             "duplicate-id", "no-source", "no-id", "no-arrival", "non-json",
             "non-object", "negative-arrival", "inf-arrival", "nan-arrival",
-            "bad-priority",
+            "bad-priority", "nan-deadline", "inf-deadline", "bool-id",
+            "float-id", "string-id",
         ],
     )
     def test_rejected_with_line_number(self, tmp_path, lines, needle):

@@ -21,38 +21,43 @@ from repro.fpga import FleetSpec
 from repro.placement import FPGA, GPU, STRUCTURAL_CLASSES
 from repro.serve import (
     LoadSpec,
-    ServiceConfig,
+    fleet_config,
     generate_requests,
     run_cluster_loadtest,
     run_service,
 )
-from repro.serve.cluster.service import ClusterConfig
-from repro.serve.scheduler import DeviceFaultEvent, MicroBatchScheduler
+from repro.serve.cluster.service import (
+    ClusterConfig,
+    DeviceFaultEvent,
+    _ClusterSimulation,
+)
+from tests.serve.synthetic import trace_of
 
-# Pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA 1x3
-# fleet, with the request log drawn from the shared trace generator.
+# Pinned numbers: LoadSpec(seed=7, 2 s, 120 rps) on a pure-FPGA
+# 3-slot fleet, served as a one-fleet cluster run (50 ms epochs,
+# interactive heads depart without waiting for the fill window).
 # The placement backend must not move any of them.
 SERVE_GOLD = {
     "completed": 235,
-    "p50_ms": 3.581381,
-    "p99_ms": 9.27491,
-    "batches": 225,
+    "p50_ms": 3.32712,
+    "p99_ms": 9.087017,
+    "batches": 228,
     "config_loads": 113,
-    "device_seconds": 0.741131475,
+    "device_seconds": 0.741143475,
     "hit_rate": 0.89787234,
 }
 
 # Pinned numbers: LoadSpec(seed=3, 12 s, 400 rps, repeat-heavy)
 # on 2..4 fleets of 3 FPGA slots, with batches priced by ``price_batch``
-# (later members pay member dispatch) and ties broken toward an
-# unconfigured slot.
+# (later members pay member dispatch), ties broken toward an
+# unconfigured slot and interactive-headed batches departing at once.
 CLUSTER_GOLD = {
     "completed": 4858,
-    "p50_ms": 36.886635,
-    "p99_ms": 60.83524,
-    "batches": 1782,
-    "config_loads": 1480,
-    "device_seconds": 11.008488008,
+    "p50_ms": 30.938398,
+    "p99_ms": 50.19243,
+    "batches": 2034,
+    "config_loads": 1596,
+    "device_seconds": 11.617670088,
     "peak": 2,
 }
 
@@ -66,7 +71,13 @@ def _serve_report(fleet: FleetSpec, workers: int = 1):
         LoadSpec(seed=7, duration_s=2.0, rate_rps=120.0)
     )
     return run_service(
-        requests, ServiceConfig(fleet=fleet, workers=workers)
+        requests,
+        fleet_config(
+            slots_per_fleet=fleet.total_slots,
+            gpu_tenants_per_fleet=fleet.gpu_tenants,
+            cpu_assist=fleet.cpu_assist,
+            workers=workers,
+        ),
     )
 
 
@@ -200,66 +211,73 @@ class TestMixedFleetDecisions:
 class TestClassScopedFaults:
     """Satellite 3: fault isolation between co-scheduled device classes."""
 
-    def _scheduler(self, faults):
-        return MicroBatchScheduler(
-            fleet=MIXED_FLEET, profiles={}, device_faults=faults
+    @staticmethod
+    def _fleet(faults, fleet=MIXED_FLEET):
+        config = fleet_config(
+            slots_per_fleet=fleet.total_slots,
+            gpu_tenants_per_fleet=fleet.gpu_tenants,
+            cpu_assist=fleet.cpu_assist,
+            device_faults=faults,
         )
+        sim = _ClusterSimulation(trace_of([]), config, {})
+        state = sim._add_fleet(0.0)
+        state.slot_resident = [f"plan-{i}" for i in range(state.slots)]
+        return sim, state
+
+    @staticmethod
+    def _classes(state):
+        return [
+            GPU if i >= state.fpga_slots else FPGA for i in range(state.slots)
+        ]
 
     def test_gpu_fault_cannot_evict_fpga_plan(self):
-        scheduler = self._scheduler(
-            (DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,
-                              device_class=GPU),)
-        )
-        fpga_slots = [s for s in scheduler.slots if s.device_class == FPGA]
-        gpu_slots = [s for s in scheduler.slots if s.device_class == GPU]
-        for slot in scheduler.slots:
-            slot.resident_signature = f"plan-{slot.index}"
-        scheduler.apply_device_faults(now=2.0)
-        assert all(s.resident_signature for s in fpga_slots)
-        assert all(s.outages == 0 for s in fpga_slots)
-        assert gpu_slots[0].resident_signature is None
-        assert gpu_slots[0].outages == 1
-        assert gpu_slots[1].resident_signature is not None
+        event = DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,
+                                 device_class=GPU)
+        sim, state = self._fleet((event,))
+        sim._apply_device_fault(event)
+        classes = self._classes(state)
+        fpga = [i for i, c in enumerate(classes) if c == FPGA]
+        gpu = [i for i, c in enumerate(classes) if c == GPU]
+        assert all(state.slot_resident[i] for i in fpga)
+        assert all(state.slot_outages[i] == 0 for i in fpga)
+        assert state.slot_resident[gpu[0]] == ""
+        assert state.slot_outages[gpu[0]] == 1
+        assert state.slot_resident[gpu[1]]
 
     def test_fpga_fault_cannot_evict_gpu_plan(self):
-        scheduler = self._scheduler(
-            (DeviceFaultEvent(at_s=1.0, slot=1, outage_s=0.5,
-                              device_class=FPGA),)
-        )
-        for slot in scheduler.slots:
-            slot.resident_signature = f"plan-{slot.index}"
-        scheduler.apply_device_faults(now=2.0)
-        gpu_slots = [s for s in scheduler.slots if s.device_class == GPU]
-        assert all(s.resident_signature for s in gpu_slots)
-        assert all(s.outages == 0 for s in gpu_slots)
-        fpga_hit = [s for s in scheduler.slots if s.device_class == FPGA][1]
-        assert fpga_hit.resident_signature is None
-        assert fpga_hit.outages == 1
+        event = DeviceFaultEvent(at_s=1.0, slot=1, outage_s=0.5,
+                                 device_class=FPGA)
+        sim, state = self._fleet((event,))
+        sim._apply_device_fault(event)
+        classes = self._classes(state)
+        gpu = [i for i, c in enumerate(classes) if c == GPU]
+        assert all(state.slot_resident[i] for i in gpu)
+        assert all(state.slot_outages[i] == 0 for i in gpu)
+        fpga_hit = [i for i, c in enumerate(classes) if c == FPGA][1]
+        assert state.slot_resident[fpga_hit] == ""
+        assert state.slot_outages[fpga_hit] == 1
 
     def test_fault_application_is_idempotent(self):
-        scheduler = self._scheduler(
-            (DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,
-                              device_class=GPU),)
+        # Each scheduled fault is one timer event: a whole run applies
+        # it exactly once, however many epochs follow.
+        event = DeviceFaultEvent(at_s=0.01, slot=0, outage_s=0.005,
+                                 device_class=GPU)
+        config = fleet_config(
+            slots_per_fleet=2, gpu_tenants_per_fleet=2, device_faults=(event,)
         )
-        scheduler.apply_device_faults(now=2.0)
-        gpu_slot = [s for s in scheduler.slots if s.device_class == GPU][0]
-        gpu_slot.resident_signature = "reloaded"
-        scheduler.apply_device_faults(now=3.0)
-        scheduler.apply_device_faults(now=4.0)
-        assert gpu_slot.outages == 1
-        assert gpu_slot.resident_signature == "reloaded"
+        sim = _ClusterSimulation(trace_of([]), config, {})
+        sim.run(duration_s=1.0)
+        state = sim.fleets[0]
+        assert state.slot_outages == [0, 0, 1, 0]
+        assert sim.counts["device_faults"] == 1
 
     def test_fault_for_absent_class_is_consumed_without_effect(self):
-        scheduler = MicroBatchScheduler(
-            fleet=FleetSpec(devices=1, slots_per_device=2),
-            profiles={},
-            device_faults=(
-                DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,
-                                 device_class=GPU),
-            ),
+        event = DeviceFaultEvent(at_s=1.0, slot=0, outage_s=0.5,
+                                 device_class=GPU)
+        sim, state = self._fleet(
+            (event,), FleetSpec(devices=1, slots_per_device=2)
         )
-        for slot in scheduler.slots:
-            slot.resident_signature = "plan"
-        scheduler.apply_device_faults(now=2.0)
-        assert all(s.resident_signature == "plan" for s in scheduler.slots)
-        assert all(s.outages == 0 for s in scheduler.slots)
+        sim._apply_device_fault(event)
+        assert all(state.slot_resident)
+        assert state.slot_outages == [0, 0]
+        assert sim.counts["device_faults"] == 0

@@ -1,255 +1,166 @@
-"""Tests for micro-batch formation, placement and cost charging."""
+"""Micro-batch formation, placement and cost charging in the one
+serving simulator, driven through one fleet with synthetic profiles."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga.multitenancy import FleetSpec
-from repro.serve.admission import QueuedRequest
-from repro.serve.api import Outcome, Priority, SolveRequest
-from repro.serve.cache import PlanCache
+from repro.serve.api import Outcome, Priority
+from repro.serve.cluster.service import DeviceFaultEvent
 from repro.serve.profile import (
     BATCH_MEMBER_DISPATCH_SECONDS,
     DISPATCH_OVERHEAD_SECONDS,
-    SolveProfile,
 )
-from repro.serve.scheduler import MicroBatchScheduler
-
-SWAP_S = 5e-3
-
-
-def profile(label, fingerprint, signature, final=1e-4):
-    return SolveProfile(
-        label=label,
-        fingerprint=fingerprint,
-        plan_signature=signature,
-        n=100,
-        nnz=500,
-        converged=True,
-        solver_sequence=("cg",),
-        iterations=10,
-        attempt_compute_s=(2e-4, final),
-        solver_swap_s=SWAP_S,
-        analysis_s=1e-3,
-    )
-
+from repro.serve.service import fleet_config
+from tests.serve.synthetic import SWAP_S, by_id, outcomes, serve, synthetic
 
 PROFILES = {
-    "A": profile("A", "fp-a", "sig-shared"),
-    "B": profile("B", "fp-b", "sig-shared"),
-    "C": profile("C", "fp-c", "sig-other"),
+    "A": synthetic("A", signature="sig-shared"),
+    "B": synthetic("B", signature="sig-shared"),
+    "C": synthetic("C", signature="sig-other"),
     "bad": "ValueError: no good",
 }
 
 
-def queued(rid, source, priority=Priority.BATCH, arrival=0.0, admitted=0.0):
-    return QueuedRequest(
-        request=SolveRequest(
-            request_id=rid,
-            source=source,
-            arrival_s=arrival,
-            priority=priority,
-        ),
-        admitted_s=admitted,
-        cost=1.0,
-    )
+def run(rows, **config):
+    config = {"slots_per_fleet": 2, "max_batch": 4, **config}
+    return serve(rows, dict(PROFILES), **config)
 
 
-def make_scheduler(cache=None, slots=2, max_batch=4, window=1e-3):
-    return MicroBatchScheduler(
-        fleet=FleetSpec(devices=1, slots_per_device=slots),
-        profiles=dict(PROFILES),
-        cache=cache,
-        max_batch=max_batch,
-        batch_window_s=window,
-    )
+def batch_ids(report):
+    return {r.request_id: r.batch_id for r in report.completed}
 
 
 class TestValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ConfigurationError):
-            make_scheduler(max_batch=0)
+            fleet_config(max_batch=0)
         with pytest.raises(ConfigurationError):
-            make_scheduler(window=-1.0)
+            fleet_config(batch_fill_ms=-1.0)
 
 
 class TestGrouping:
     def test_same_fingerprint_one_batch(self):
-        scheduler = make_scheduler()
-        queue = [queued(0, "A"), queued(1, "A"), queued(2, "C")]
-        responses, remaining, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
-        assert remaining == []
-        batches = {r.request_id: r.batch_id for r in responses}
+        report = run([(0.0, "A"), (0.0, "A"), (0.0, "C")])
+        batches = batch_ids(report)
         assert batches[0] == batches[1]
         assert batches[2] != batches[0]
 
     def test_failed_profile_isolated_and_reported(self):
-        scheduler = make_scheduler()
-        queue = [queued(0, "A"), queued(1, "bad")]
-        responses, remaining, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
-        assert remaining == []
-        by_id = {r.request_id: r for r in responses}
-        assert by_id[0].outcome is Outcome.COMPLETED
-        assert by_id[1].outcome is Outcome.FAILED
-        assert "ValueError" in by_id[1].detail
+        report = run([(0.0, "A"), (0.0, "bad")])
+        responses = by_id(report)
+        assert responses[0].outcome is Outcome.COMPLETED
+        assert responses[1].outcome is Outcome.FAILED
+        assert "ValueError" in responses[1].detail
+        assert report.unaccounted == 0
 
     def test_max_batch_splits_group(self):
-        scheduler = make_scheduler(max_batch=2)
-        queue = [queued(i, "A") for i in range(3)]
-        responses, remaining, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
-        sizes = sorted(b.size for b in scheduler.batches)
-        assert sizes == [1, 2]
-        assert remaining == []
+        report = run([(0.0, "A")] * 3, max_batch=2)
+        assert sorted(report.cluster.batch_log.size.tolist()) == [1, 2]
+        assert outcomes(report) == ["completed"] * 3
 
     def test_batch_window_holds_back_small_batch_groups(self):
-        scheduler = make_scheduler(window=5e-3)
-        queue = [queued(0, "A", admitted=0.0)]
-        _, remaining, _ = scheduler.dispatch(queue, now=1e-3, next_batch_id=0)
-        assert len(remaining) == 1  # not ripe yet
-        responses, remaining, _ = scheduler.dispatch(
-            remaining, now=6e-3, next_batch_id=0
-        )
-        assert remaining == []
-        assert responses[0].outcome is Outcome.COMPLETED
+        report = run([(0.0, "A")], batch_fill_ms=5.0)
+        assert report.cluster.batch_log.start_s.tolist() == [5e-3]
 
     def test_interactive_head_dispatches_immediately(self):
-        scheduler = make_scheduler(window=5e-3)
-        queue = [queued(0, "A", priority=Priority.INTERACTIVE, admitted=0.0)]
-        responses, remaining, _ = scheduler.dispatch(
-            queue, now=1e-4, next_batch_id=0
+        # The rule both tiers share: an interactive head departs as
+        # soon as a slot is free, without waiting out the fill window.
+        report = run(
+            [(0.0, "A", Priority.INTERACTIVE, 1.0)], batch_fill_ms=5.0
         )
-        assert remaining == []
-        assert responses
+        assert report.cluster.batch_log.start_s.tolist() == [0.0]
 
 
 class TestCostCharging:
     def test_cold_batch_head_pays_full_later_members_amortize(self):
-        cache = PlanCache(capacity=8)
-        scheduler = make_scheduler(cache=cache)
         prof = PROFILES["A"]
-        queue = [queued(0, "A"), queued(1, "A")]
-        responses, _, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
-        by_id = {r.request_id: r for r in responses}
-        # Analysis, both attempts and one Solver Modifier swap.
-        assert by_id[0].service_s == pytest.approx(
-            DISPATCH_OVERHEAD_SECONDS + prof.analysis_s
+        report = run([(0.0, "A"), (0.0, "A")])
+        responses = by_id(report)
+        # First placement loads the slot, then analysis, both attempts
+        # and one Solver Modifier swap.
+        assert responses[0].service_s == pytest.approx(
+            SWAP_S + DISPATCH_OVERHEAD_SECONDS + prof.analysis_s
             + sum(prof.attempt_compute_s) + SWAP_S
         )
         # Later members of a fingerprint micro-batch reuse the head's
         # descriptor and lookup: amortized dispatch, warm device time.
-        assert by_id[1].service_s == pytest.approx(
+        assert responses[1].service_s == pytest.approx(
             BATCH_MEMBER_DISPATCH_SECONDS + prof.warm_service_s
         )
         # Amortized members of a cold batch are still cache *misses*.
-        assert not by_id[0].cache_hit
-        assert not by_id[1].cache_hit
+        assert not responses[0].cache_hit
+        assert not responses[1].cache_hit
 
     def test_warm_batch_members_are_cache_hits(self):
-        cache = PlanCache(capacity=8)
-        scheduler = make_scheduler(cache=cache)
-        scheduler.dispatch([queued(0, "A")], now=0.01, next_batch_id=0)
-        responses, _, _ = scheduler.dispatch(
-            [queued(1, "A", arrival=0.1, admitted=0.1)],
-            now=0.11,
-            next_batch_id=1,
-        )
-        assert responses[0].cache_hit
-        assert responses[0].service_s == pytest.approx(
+        report = run([(0.0, "A"), (0.1, "A")])
+        second = by_id(report)[1]
+        assert second.cache_hit
+        assert second.service_s == pytest.approx(
             DISPATCH_OVERHEAD_SECONDS + PROFILES["A"].warm_service_s
         )
 
     def test_no_cache_reloads_configuration_every_batch(self):
-        scheduler = make_scheduler(cache=None, slots=1)
-        first, _, _ = scheduler.dispatch(
-            [queued(0, "A")], now=0.01, next_batch_id=0
+        report = run(
+            [(0.0, "A"), (0.1, "A")], slots_per_fleet=1, cache_capacity=0
         )
-        second, _, _ = scheduler.dispatch(
-            [queued(1, "A", arrival=0.1, admitted=0.1)],
-            now=0.2,
-            next_batch_id=1,
-        )
-        assert scheduler.slots[0].config_loads == 2
-        assert all(not r.cache_hit for r in first + second)
+        assert report.cluster.fleets[0].config_loads == 2
+        assert all(not r.cache_hit for r in report.responses)
 
     def test_affinity_skips_configuration_load_on_resident_slot(self):
-        cache = PlanCache(capacity=8)
-        scheduler = make_scheduler(cache=cache, slots=2)
-        scheduler.dispatch([queued(0, "A")], now=0.01, next_batch_id=0)
         # Same plan signature, different fingerprint: slot 0 is resident.
-        scheduler.dispatch(
-            [queued(1, "B", arrival=0.1, admitted=0.1)],
-            now=0.2,
-            next_batch_id=1,
-        )
-        loads = sorted(s.config_loads for s in scheduler.slots)
-        assert loads == [0, 1]  # second batch reused the configured slot
+        report = run([(0.0, "A"), (0.1, "B")])
+        assert report.cluster.fleets[0].config_loads == 1
+        assert report.cluster.batch_log.slot.tolist() == [0, 0]
 
     def test_tenancy_bounds_concurrency(self):
-        scheduler = make_scheduler(slots=1)
-        queue = [queued(0, "A"), queued(1, "C")]
-        responses, remaining, _ = scheduler.dispatch(
-            queue, now=0.01, next_batch_id=0
-        )
-        # One slot: the incompatible second group must wait.
-        assert len(responses) == 1
-        assert len(remaining) == 1
-        assert not scheduler.has_free_slot(0.01)
+        # One slot: the incompatible second batch waits for the first.
+        report = run([(0.0, "A"), (0.0, "C")], slots_per_fleet=1)
+        log = report.cluster.batch_log
+        assert len(log) == 2
+        assert log.start_s[1] >= log.end_s[0]
 
 
 class TestDeviceFaults:
-    """Modeled device outages through the scheduler's fault seam."""
+    """Modeled slot outages through the simulator's fault seam."""
 
-    def make_faulty(self, faults, slots=1, cache=None):
-        from repro.serve.scheduler import DeviceFaultEvent
-
-        events = tuple(DeviceFaultEvent(*f) for f in faults)
-        return MicroBatchScheduler(
-            fleet=FleetSpec(devices=1, slots_per_device=slots),
-            profiles=dict(PROFILES),
-            cache=cache,
-            max_batch=4,
-            batch_window_s=1e-3,
-            device_faults=events,
-        )
+    @staticmethod
+    def faults(*events):
+        return tuple(DeviceFaultEvent(*event) for event in events)
 
     def test_outage_delays_placement_until_slot_recovers(self):
         # (at_s, slot, outage_s): slot 0 is down for [0, 0.1).
-        scheduler = self.make_faulty([(0.0, 0, 0.1)])
-        queue = [queued(0, "A")]
-        responses, queue, _ = scheduler.dispatch(queue, now=0.05, next_batch_id=0)
-        assert responses == []
-        assert len(queue) == 1
-        assert scheduler.slots[0].outages == 1
-        responses, queue, _ = scheduler.dispatch(queue, now=0.2, next_batch_id=0)
-        assert len(responses) == 1
-        assert responses[0].outcome is Outcome.COMPLETED
-        assert queue == []
+        report = run(
+            [(0.01, "A")], slots_per_fleet=1,
+            device_faults=self.faults((0.0, 0, 0.1)),
+        )
+        assert report.cluster.batch_log.start_s.tolist() == [0.1]
+        assert outcomes(report) == ["completed"]
+        assert report.cluster.fleets[0].slot_outages == [1]
 
     def test_outage_evicts_resident_configuration(self):
-        scheduler = self.make_faulty(
-            [(0.5, 0, 0.01)], cache=PlanCache(capacity=8)
+        rows = [(0.01, "A"), (0.6, "A")]
+        calm = run(rows, slots_per_fleet=1)
+        faulted = run(
+            rows, slots_per_fleet=1,
+            device_faults=self.faults((0.5, 0, 0.01)),
         )
-        queue = [queued(0, "A")]
-        _, queue, _ = scheduler.dispatch(queue, now=0.01, next_batch_id=0)
-        assert scheduler.slots[0].resident_signature is not None
-        scheduler.apply_device_faults(now=0.5)
-        assert scheduler.slots[0].resident_signature is None
+        assert calm.cluster.fleets[0].config_loads == 1
+        assert faulted.cluster.fleets[0].config_loads == 2
 
     def test_faults_apply_once_and_in_order(self):
-        from repro.telemetry import Telemetry
-
-        scheduler = self.make_faulty([(0.2, 0, 0.01), (0.1, 0, 0.01)])
-        # __post_init__ sorts by time regardless of construction order.
-        assert [e.at_s for e in scheduler.device_faults] == [0.1, 0.2]
-        collector = Telemetry()
-        with collector.activate():
-            scheduler.apply_device_faults(now=0.15)  # only the first is due
-            assert scheduler.slots[0].outages == 1
-            scheduler.apply_device_faults(now=0.15)  # idempotent
-            assert scheduler.slots[0].outages == 1
-            scheduler.apply_device_faults(now=1.0)
-            assert scheduler.slots[0].outages == 2
-        assert collector.counters["serve.device_faults"] == 2
+        # Given out of order; the 0.1 s outage is what delays the
+        # request arriving during it.
+        report = run(
+            [(0.105, "A")], slots_per_fleet=1,
+            device_faults=self.faults((0.2, 0, 0.01), (0.1, 0, 0.01)),
+        )
+        assert report.cluster.batch_log.start_s.tolist() == [0.11]
+        assert report.cluster.fleets[0].slot_outages == [2]
+        assert report.cluster.counters["serve.device_faults"] == 2
+        assert report.as_dict(include_responses=False)["fleet"][
+            "device_faults"
+        ] == 2
 
     def test_negative_outage_rejected(self):
         with pytest.raises(ConfigurationError):
-            self.make_faulty([(0.0, 0, -1.0)])
+            DeviceFaultEvent(0.0, 0, -1.0)

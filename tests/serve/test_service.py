@@ -1,14 +1,15 @@
-"""End-to-end tests of the serving simulator and its report."""
+"""End-to-end tests of single-fleet serving and its report."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga.multitenancy import FleetSpec
-from repro.serve.api import Outcome, Priority, SolveRequest
+from repro.serve.api import Outcome, SolveRequest
+from repro.serve.cluster.service import ClusterConfig
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.service import (
-    ServiceConfig,
+    FLEET_EPOCH_S,
     build_profiles,
+    fleet_config,
     run_loadtest,
     run_service,
 )
@@ -23,9 +24,9 @@ def small_spec(**overrides):
 
 
 def small_config(**overrides):
-    base = dict(fleet=FleetSpec(devices=1, slots_per_device=2))
+    base = dict(slots_per_fleet=2)
     base.update(overrides)
-    return ServiceConfig(**base)
+    return fleet_config(**base)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +37,54 @@ def baseline_report():
 class TestServiceConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(workers=0)
+            fleet_config(workers=0)
 
-    def test_workers_excluded_from_report_dict(self):
-        assert "workers" not in ServiceConfig(workers=4).as_dict()
+    def test_workers_excluded_from_report_dict(self, baseline_report):
+        serving = baseline_report.as_dict(include_responses=False)["serving"]
+        assert "workers" not in serving
+
+    def test_one_fleet_shape_is_fixed(self):
+        config = fleet_config()
+        assert (config.initial_fleets, config.max_fleets) == (1, 1)
+        assert not config.autoscale
+        assert config.interval_s == FLEET_EPOCH_S
+        # A cluster config handed to run_service is served on one fleet.
+        report = run_service(
+            generate_requests(small_spec()),
+            ClusterConfig(initial_fleets=3, max_fleets=4, slots_per_fleet=2),
+        )
+        assert len(report.cluster.fleets) == 1
+        assert report.config.interval_s == FLEET_EPOCH_S
+
+    @pytest.mark.parametrize(
+        "window_ms", [0.0, 49.9, 50.0, 120.0, 150.0, 1500.0]
+    )
+    def test_every_batch_window_is_accepted(self, window_ms):
+        # The cluster requires fill < epoch; a long window stretches
+        # the epoch to the next multiple of FLEET_EPOCH_S.
+        config = fleet_config(batch_fill_ms=window_ms)
+        assert config.batch_fill_ms * 1e-3 < config.interval_s
+        assert config.interval_s == FLEET_EPOCH_S or (
+            config.interval_s <= window_ms * 1e-3 + FLEET_EPOCH_S
+        )
+
+    def test_huge_batch_window_is_accepted(self):
+        # Beyond float resolution the epoch is the next float up.
+        config = fleet_config(batch_fill_ms=1e300)
+        assert config.batch_fill_ms * 1e-3 < config.interval_s
+
+    @pytest.mark.parametrize("window_ms", [-1.0, float("nan"), float("inf")])
+    def test_invalid_batch_window_rejected(self, window_ms):
+        with pytest.raises(ConfigurationError):
+            fleet_config(batch_fill_ms=window_ms)
+
+    def test_idle_fleet_sheds_nothing(self):
+        # 120 rps on a 64-deep queue: an epoch's arrivals always fit.
+        doc = run_loadtest(LoadSpec(seed=0, duration_s=5.0)).as_dict(
+            include_responses=False
+        )
+        assert doc["requests"]["shed"] == 0
+        assert doc["requests"]["generated"] == 558
 
 
 class TestBuildProfiles:
@@ -71,13 +116,10 @@ class TestAccountingInvariant:
         assert ids == sorted(r.request_id for r in report.requests)
 
     def test_invariant_holds_under_overload(self):
-        # Tiny queue + one slot + high rate: shed and preemption paths fire.
+        # Tiny queue + one slot + high rate: the shed path fires.
         report = run_loadtest(
             small_spec(rate_rps=600.0, mix="bursty"),
-            small_config(
-                queue_capacity=4,
-                fleet=FleetSpec(devices=1, slots_per_device=1),
-            ),
+            small_config(queue_capacity=4, slots_per_fleet=1),
         )
         assert report.unaccounted == 0
         assert report.shed_count > 0
@@ -88,10 +130,7 @@ class TestAccountingInvariant:
     def test_shed_responses_carry_detail(self):
         report = run_loadtest(
             small_spec(rate_rps=600.0, mix="bursty"),
-            small_config(
-                queue_capacity=4,
-                fleet=FleetSpec(devices=1, slots_per_device=1),
-            ),
+            small_config(queue_capacity=4, slots_per_fleet=1),
         )
         for response in report.responses:
             if response.outcome is Outcome.SHED:
@@ -117,9 +156,7 @@ class TestDeterminism:
 
 class TestCacheEffect:
     def test_cache_beats_no_cache_on_repeat_traffic(self, baseline_report):
-        no_cache = run_loadtest(
-            small_spec(), small_config(cache_enabled=False)
-        )
+        no_cache = run_loadtest(small_spec(), small_config(cache_capacity=0))
         warm = baseline_report.as_dict(include_responses=False)
         cold = no_cache.as_dict(include_responses=False)
         assert warm["cache"]["enabled"] and not cold["cache"]["enabled"]
@@ -146,21 +183,6 @@ class TestFailedSources:
         assert by_id[0].outcome is Outcome.COMPLETED
         assert by_id[1].outcome is Outcome.FAILED
         assert report.unaccounted == 0
-
-
-class TestDeadlines:
-    def test_hopeless_deadline_is_shed_not_queued(self):
-        requests = [
-            SolveRequest(
-                request_id=0,
-                source="Wa",
-                arrival_s=0.0,
-                priority=Priority.INTERACTIVE,
-                deadline_s=0.0,
-            ),
-        ]
-        report = run_service(requests, small_config())
-        assert report.responses[0].outcome is Outcome.SHED
 
 
 class TestReport:

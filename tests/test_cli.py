@@ -245,8 +245,15 @@ class TestServingExitContract:
             '{"request_id": 0, "source": "Li", "arrival_s": 0.1}\n',
             '{"request_id": 0, "arrival_s": 0.1}\n',
             "not json\n",
+            '{"request_id": 0, "source": "Wa", "arrival_s": 0.1, '
+            '"deadline_s": NaN}\n',
+            '{"request_id": true, "source": "Wa", "arrival_s": 0.1}\n',
+            '{"request_id": 1.5, "source": "Wa", "arrival_s": 0.1}\n',
         ],
-        ids=["duplicate-id", "missing-source", "non-json"],
+        ids=[
+            "duplicate-id", "missing-source", "non-json", "nan-deadline",
+            "bool-id", "float-id",
+        ],
     )
     def test_malformed_request_log_exits_two(self, tmp_path, capsys, log):
         path = tmp_path / "req.jsonl"
