@@ -17,9 +17,9 @@ This checker then proves each candidate against the whole-program
 index:
 
 - a name must resolve — through module-level assignments and import
-  re-export chains (``from repro.serve.profile import profile_items``,
+  re-export chains (``from repro.serve.profile import profile_source``,
   the ``repro.parallel`` facade) — to a **top-level def** such as
-  ``solve_items`` / ``profile_items`` / ``evaluate_items``,
+  ``solve_source`` / ``profile_source`` / ``evaluate_payload``,
 - nested defs, module-level lambda assignments, and missing symbols are
   violations; chains that leave the linted tree are trusted,
 - any lambda or ``open()`` handle flowing through the remaining

@@ -48,11 +48,10 @@ from repro.analysis.engine import (
     iter_python_files,
     load_source,
 )
-from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
-from repro.parallel import ItemResult, WorkItem, run_sharded
+from repro.parallel import WorkItem, run_sharded
 
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 """Schema version of the per-file facts record."""
 
 LINT_CACHE_VERSION = 1
@@ -69,15 +68,14 @@ BOUNDARY_FUNCTIONS = frozenset({
 
 #: ``run_sharded`` keyword arguments that never cross into a worker
 #: process (the executor factory runs parent-side), so REP008 must not
-#: inspect them.  ``work_fn``/positional index 6 is handled separately.
+#: inspect them.  ``work_fn``/positional index 2 is handled separately.
 _PARENT_SIDE_KWARGS = frozenset({"executor_factory"})
-_WORK_FN_POSITION = 6
+_WORK_FN_POSITION = 2
 
 #: Registry constants parsed out of ``repro.telemetry``'s module body.
 _REGISTRY_NAMES = {
     "KNOWN_SPANS": "spans",
     "KNOWN_COUNTERS": "counters",
-    "KNOWN_DISTRIBUTIONS": "distributions",
     "KNOWN_COUNTER_PREFIXES": "prefixes",
 }
 
@@ -86,7 +84,6 @@ _EMISSION_KINDS = {
     "span": "spans",
     "record_span": "spans",
     "count": "counters",
-    "observe": "distributions",
 }
 
 #: Wall-clock and entropy reads whose values must not leak into the
@@ -288,8 +285,6 @@ class _BoundaryVisitor(ast.NodeVisitor):
         for i, arg in enumerate(node.args):
             if i == _WORK_FN_POSITION:
                 work_expr = arg
-            elif i == _WORK_FN_POSITION - 1:
-                continue  # positional executor_factory: parent-side
             else:
                 crossing_args.append(arg)
         for kw in node.keywords:
@@ -374,7 +369,7 @@ def _emissions(source: SourceFile, imports: ImportMap) -> dict[str, Any]:
     from repro.analysis.checkers.telemetry_names import _recording_target
 
     emitted: dict[str, dict[str, list[int]]] = {
-        "spans": {}, "counters": {}, "distributions": {},
+        "spans": {}, "counters": {},
     }
     heads: dict[str, list[int]] = {}
     for node in ast.walk(source.tree):
@@ -701,12 +696,18 @@ class ProjectIndex:
 # -- phase 1 execution: worker entry point and cache --------------------
 
 
-def _process_file(
-    path: Path, root: Path, rules: Sequence[str] | None
+def lint_file(
+    item: WorkItem, context: tuple[Path, Sequence[str] | None]
 ) -> dict[str, Any]:
-    """Parse one file; run file-scoped checkers; extract facts."""
+    """``run_sharded`` work function: phase 1 for one file.
+
+    ``item.source`` is the file path; ``context`` is ``(root, rules)``.
+    Parses the file, runs the file-scoped checkers and extracts facts.
+    """
     from repro.analysis.checkers import partition_checkers
 
+    root, rules = context
+    path = Path(item.source)
     file_checkers, _ = partition_checkers(rules)
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -722,37 +723,6 @@ def _process_file(
         "findings": findings,
         "facts": extract_facts(source),
     }
-
-
-def lint_items(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """``run_sharded`` worker entry point: phase-1 one file per item.
-
-    ``item.source`` is ``(path, root, rules_csv)`` — plain strings so
-    the item pickles cheaply.  Syntax/read errors come back in
-    ``ItemResult.error`` and are re-raised parent-side to keep the
-    serial and parallel paths behaviorally identical.
-    """
-    del config  # the solver config is irrelevant to lint work
-    results: list[ItemResult] = []
-    for item in items:
-        path_str, root_str, rules_csv = item.source
-        rules = [r for r in rules_csv.split(",") if r] if rules_csv else None
-        try:
-            entry = _process_file(Path(path_str), Path(root_str), rules)
-        except ConfigurationError as exc:
-            message = str(exc.args[0]) if exc.args else str(exc)
-            results.append(ItemResult(
-                index=item.index, entry=None, error=message,
-                label=path_str, telemetry={},
-            ))
-        else:
-            results.append(ItemResult(
-                index=item.index, entry=entry, error=None,
-                label=str(entry["path"]), telemetry={},
-            ))
-    return results
 
 
 def _cache_signature(rule_ids: Sequence[str]) -> str:
@@ -880,9 +850,9 @@ def run_project_lint(
     cached = _load_cache(cache_file, signature) if use_cache else {}
 
     entries: dict[str, dict[str, Any]] = {}
-    misses: list[tuple[int, Path, str]] = []
+    misses: list[tuple[Path, str]] = []
     hits = 0
-    for i, path in enumerate(files):
+    for path in files:
         display = _display_path(path, base)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entry = cached.get(display)
@@ -890,38 +860,29 @@ def run_project_lint(
             entries[display] = entry
             hits += 1
         else:
-            misses.append((i, path, display))
+            misses.append((path, display))
 
-    rules_csv = ",".join(c.rule_id for c in file_checkers)
-    pool_workers = min(int(workers), len(misses))
-    if pool_workers > 1:
-        items = [
-            WorkItem(
-                index=i,
-                source=(str(path), str(base), rules_csv),
-                seed=0,
-                cost=float(max(1, path.stat().st_size)),
-            )
-            for i, path, _ in misses
-        ]
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=pool_workers,
-            work_fn=lint_items,
+    items = [
+        WorkItem(
+            index=i,
+            source=str(path),
+            seed=0,
+            cost=float(max(1, path.stat().st_size)),
         )
-        by_index = {result.index: result for result in outcome.results}
-        for i, path, display in misses:
-            result = by_index.get(i)
-            if result is None or result.entry is None:
-                if result is not None and result.error is not None:
-                    raise ConfigurationError(result.error)
-                # Lost-worker fallback: finish the file in-process so a
-                # flaky pool never changes lint output.
-                entries[display] = _process_file(path, base, rules)
-            else:
-                entries[display] = dict(result.entry)
-    else:
-        for _, path, display in misses:
-            entries[display] = _process_file(path, base, rules)
+        for i, (path, _) in enumerate(misses)
+    ]
+    context = (base, rules)
+    outcome = run_sharded(
+        items, context, work_fn=lint_file, workers=workers
+    )
+    for item, (_, display), result in zip(items, misses, outcome.results):
+        # A failed file is linted again here, so its exception (a syntax
+        # error's ConfigurationError) surfaces exactly as in-process and
+        # a lost worker never changes lint output.
+        entries[display] = (
+            result.entry if result.entry is not None
+            else lint_file(item, context)
+        )
 
     tm.count("lint.files_parsed", len(misses))
     tm.count("lint.cache_hits", hits)
@@ -972,6 +933,6 @@ __all__ = [
     "ProjectIndex",
     "changed_files",
     "extract_facts",
-    "lint_items",
+    "lint_file",
     "run_project_lint",
 ]

@@ -31,7 +31,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Union
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.errors import DatasetError, ValidationError
 from repro.fpga import PerformanceModel, mean_underutilization
 from repro.metrics import achieved_throughput_fraction
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover — the pool machinery loads lazily
+    from repro.parallel import ParallelOutcome, WorkItem
 
 ProblemSource = Union[str, Path, Problem]
 
@@ -269,12 +272,18 @@ def build_entry(
     )
 
 
+def solve_source(item: WorkItem, config: AcamarConfig) -> CampaignEntry:
+    """``run_sharded`` work function: resolve, solve and cost one source."""
+    with tm.span("campaign.resolve"):
+        problem = resolve_source(item.source, item.seed)
+    return build_entry(problem, config)
+
+
 def _campaign_telemetry(
     collector: Telemetry,
     entries: list[CampaignEntry],
-    workers: int,
+    outcome: ParallelOutcome,
     wall_seconds: float,
-    engine: dict[str, int] | None = None,
 ) -> dict[str, Any]:
     """Assemble the documented campaign telemetry schema."""
     base = collector.as_dict()
@@ -288,7 +297,7 @@ def _campaign_telemetry(
     document: dict[str, Any] = {
         "schema_version": TELEMETRY_SCHEMA_VERSION,
         "campaign": {
-            "workers": workers,
+            "workers": outcome.workers,
             "wall_seconds": round(wall_seconds, 6),
             "problems": len(entries),
             "converged": sum(1 for e in entries if e.converged),
@@ -303,8 +312,13 @@ def _campaign_telemetry(
         "stages": base["spans"],
         "counters": counters,
     }
-    if engine:
-        document["campaign"].update(engine)
+    if outcome.workers > 1:  # pool statistics exist only for pooled runs
+        document["campaign"].update(
+            chunks=outcome.chunks,
+            pool_restarts=outcome.pool_restarts,
+            in_process_items=outcome.in_process_items,
+            abandoned_items=outcome.abandoned_items,
+        )
     return document
 
 
@@ -312,22 +326,26 @@ def run_campaign(
     sources: Iterable[ProblemSource],
     config: AcamarConfig | None = None,
     seed: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
     chunk_size: int | None = None,
-    max_pool_restarts: int = 2,
     executor_factory: Callable[[int], Any] | None = None,
 ) -> CampaignReport:
     """Solve every source with Acamar and aggregate the results.
 
-    ``workers=None`` (or ``<= 1``) runs serially in-process; ``workers=N``
-    shards across ``N`` worker processes.  Both paths use the same
-    per-problem seed derivation and entry construction, so the parallel
-    report is entry-for-entry identical to the serial one.  Unresolvable
-    sources raise :class:`DatasetError` immediately; solve-time faults
-    become failure-annotated entries.
+    ``workers=1`` runs in-process; ``workers=N`` shards across ``N``
+    worker processes.  Both use the same per-problem seed derivation and
+    :func:`solve_source`, so the parallel report is entry-for-entry
+    identical to the serial one.  Unresolvable sources raise
+    :class:`DatasetError` and ``workers < 1`` raises
+    :class:`~repro.errors.ConfigurationError`, both before any solve;
+    solve-time faults and lost workers become failure-annotated entries.
     """
-    from repro.parallel.cost import estimate_cost
-    from repro.parallel.engine import WorkItem, run_sharded, solve_items
+    from repro.parallel import (
+        WorkItem,
+        estimate_cost,
+        run_sharded,
+        source_label,
+    )
 
     config = config if config is not None else AcamarConfig()
     source_list = list(sources)
@@ -343,45 +361,28 @@ def run_campaign(
         for index, source in enumerate(source_list)
     ]
 
-    collector = Telemetry()
     start = time.perf_counter()
-    entries: list[CampaignEntry] = []
-    engine_stats: dict[str, int] | None = None
-
-    if workers is not None and workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items,
-            config,
-            workers=workers,
-            chunk_size=chunk_size,
-            max_pool_restarts=max_pool_restarts,
-            executor_factory=executor_factory,
-        )
-        collector.merge(outcome.telemetry)
-        for result in outcome.results:
-            if result.entry is not None:
-                entries.append(result.entry)
-            else:
-                entries.append(failure_entry(result.label, result.error))
-        engine_stats = {
-            "chunks": outcome.chunks,
-            "pool_restarts": outcome.pool_restarts,
-            "in_process_items": outcome.in_process_items,
-            "abandoned_items": outcome.abandoned_items,
-        }
-        effective_workers = workers
-    else:
-        for result in solve_items(items, config):
-            collector.merge(result.telemetry)
-            if result.entry is not None:
-                entries.append(result.entry)
-            else:
-                entries.append(failure_entry(result.label, result.error))
-        effective_workers = 1
-
+    outcome = run_sharded(
+        items,
+        config,
+        work_fn=solve_source,
+        workers=workers,
+        chunk_size=chunk_size,
+        executor_factory=executor_factory,
+    )
+    entries = [
+        result.entry if result.entry is not None
+        else failure_entry(source_label(source), result.error)
+        for source, result in zip(source_list, outcome.results)
+    ]
+    telemetry = outcome.telemetry
+    if outcome.failures:
+        telemetry.count("campaign.failures", outcome.failures)
+    if outcome.abandoned_items:
+        telemetry.count("campaign.workers_lost", outcome.abandoned_items)
     wall_seconds = time.perf_counter() - start
     report = CampaignReport(entries=entries)
     report.telemetry = _campaign_telemetry(
-        collector, entries, effective_workers, wall_seconds, engine_stats
+        telemetry, entries, outcome, wall_seconds
     )
     return report

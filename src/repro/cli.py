@@ -98,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the full Table II suite (may be combined with sources)",
     )
     campaign.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard across N worker processes (default: serial)",
+        "--workers", type=int, default=1, metavar="N",
+        help="shard across N worker processes (default 1: in-process)",
     )
     campaign.add_argument(
         "--chunk-size", type=int, default=None, metavar="K",
@@ -494,7 +494,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.errors import DatasetError
+    from repro.errors import ConfigurationError, DatasetError
 
     try:
         report = run_campaign(
@@ -503,7 +503,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
         )
-    except DatasetError as exc:
+    except (ConfigurationError, DatasetError) as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():
@@ -716,7 +716,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         report = run_project_lint(
             paths,
             rules=rules,
-            workers=max(1, args.workers),
+            workers=args.workers,
             cache_path=Path(args.cache) if args.cache else None,
             use_cache=not args.no_cache,
             changed_only=changed,

@@ -21,7 +21,6 @@ from repro.dse.capacity import (
 from repro.dse.evaluator import (
     acamar_config_for,
     cluster_config_for,
-    evaluate_items,
     evaluate_point,
     run_sweep,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "compute_frontier",
     "cross_shapes",
     "demo_space",
-    "evaluate_items",
     "evaluate_point",
     "is_feasible",
     "load_space",

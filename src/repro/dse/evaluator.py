@@ -8,15 +8,14 @@ five frontier objectives (p99 latency, device-seconds, area-mm²,
 reconfiguration rate, GFLOPS/W) plus the raw accounting they derive
 from.
 
-:func:`evaluate_items` has the campaign's ``(items, config) ->
-list[ItemResult]`` worker shape, so :func:`run_sweep` fans a whole
-space out over :func:`repro.parallel.run_sharded` — pool restarts,
-fault isolation and ordered reassembly included — while staying
-byte-deterministic for any worker count: the virtual clock inside each
-point never observes the pool, and results are reassembled in point
-order.  Cold profiles are memoized per (sources, solver-plan) key so
-the sweep pays each real solve once per worker process, not once per
-point.
+:func:`run_sweep` fans a whole space out over
+:func:`repro.parallel.run_sharded` with :func:`evaluate_payload` as the
+work function — pool restarts, fault isolation and ordered reassembly
+included — while staying byte-deterministic for any worker count: the
+virtual clock inside each point never observes the pool, and results
+are reassembled in point order.  Cold profiles are memoized per
+(sources, solver-plan) key so the sweep pays each real solve once per
+worker process, not once per point.
 """
 
 from __future__ import annotations
@@ -225,51 +224,19 @@ def evaluate_point(
         }
 
 
-def evaluate_items(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """Worker entry point: evaluate a chunk of design points.
+def evaluate_payload(item: WorkItem, config: AcamarConfig) -> dict[str, Any]:
+    """``run_sharded`` work function: evaluate one design point.
 
-    Mirrors the campaign's ``solve_items`` contract so it can ride
-    ``run_sharded`` unchanged: each item gets its own telemetry
-    collector and any exception becomes a structured error record.
     ``item.source`` is the point payload built by :func:`run_sweep`.
     """
-    results: list[ItemResult] = []
-    for item in items:
-        payload = item.source
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                record = evaluate_point(
-                    shape=FleetShape(**payload["shape"]),
-                    traffic=TrafficSpec(**payload["traffic"]),
-                    sources=tuple(payload["sources"]),
-                    seed=item.seed,
-                    base_config=config,
-                )
-                tm.count("dse.points_evaluated")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=record,
-                        error=None,
-                        label=record["id"],
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("dse.points_failed")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=str(payload.get("id", item.index)),
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
+    payload = item.source
+    return evaluate_point(
+        shape=FleetShape(**payload["shape"]),
+        traffic=TrafficSpec(**payload["traffic"]),
+        sources=tuple(payload["sources"]),
+        seed=item.seed,
+        base_config=config,
+    )
 
 
 def run_sweep(
@@ -286,31 +253,28 @@ def run_sweep(
     never the records, so reports stay byte-identical per seed.
     """
     base = base_config if base_config is not None else AcamarConfig()
-    items = []
-    for index, (shape, traffic) in enumerate(space.points()):
-        payload = {
-            "id": point_id(shape, traffic),
-            "shape": shape.as_dict(),
-            "traffic": traffic.as_dict(),
-            "sources": list(space.sources),
-        }
-        items.append(
-            WorkItem(
-                index=index,
-                source=payload,
-                seed=seed,
-                cost=traffic.rate_rps * traffic.duration_s,
-            )
+    items = [
+        WorkItem(
+            index=index,
+            source={
+                "shape": shape.as_dict(),
+                "traffic": traffic.as_dict(),
+                "sources": list(space.sources),
+            },
+            seed=seed,
+            cost=traffic.rate_rps * traffic.duration_s,
         )
-    collector = collector if collector is not None else Telemetry()
-    if workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items, base, workers=workers, work_fn=evaluate_items
-        )
-        results = outcome.results
-        collector.merge(outcome.telemetry)
-    else:
-        results = evaluate_items(items, base)
-        for result in results:
-            collector.merge(result.telemetry)
-    return sorted(results, key=lambda r: r.index)
+        for index, (shape, traffic) in enumerate(space.points())
+    ]
+    outcome = run_sharded(
+        items, base, work_fn=evaluate_payload, workers=workers
+    )
+    telemetry = outcome.telemetry
+    evaluated = len(items) - outcome.failures
+    if evaluated:
+        telemetry.count("dse.points_evaluated", evaluated)
+    if outcome.failures:
+        telemetry.count("dse.points_failed", outcome.failures)
+    if collector is not None:
+        collector.merge(telemetry)
+    return outcome.results

@@ -20,7 +20,7 @@ from repro.config import AcamarConfig
 from repro.dse.capacity import CapacityQuery, plan_capacity
 from repro.dse.evaluator import run_sweep
 from repro.dse.frontier import OBJECTIVES, compute_frontier
-from repro.dse.space import DesignSpace, demo_space
+from repro.dse.space import DesignSpace, demo_space, point_id
 from repro.telemetry import Telemetry
 
 DSE_SCHEMA_VERSION = 1
@@ -174,12 +174,12 @@ def build_report(
     """Fold sweep results into frontier + capacity answer."""
     records = []
     failures = []
-    for result in results:
+    for (shape, traffic), result in zip(space.points(), results):
         if result.entry is not None:
             records.append(result.entry)
         else:
             failures.append(
-                {"id": result.label, "error": result.error}
+                {"id": point_id(shape, traffic), "error": result.error}
             )
     frontier = compute_frontier(records)
     return DseReport(

@@ -67,7 +67,7 @@ class ChaosExecutor:
         self.kills_remaining = kills_remaining
         self.stalls = stalls
 
-    def submit(self, fn, items, config) -> Future:
+    def submit(self, fn, items, *args) -> Future:
         future: Future = Future()
         marked = [
             item.index
@@ -85,7 +85,7 @@ class ChaosExecutor:
         for item in items:
             if item.index in self.stalls:
                 tm.count("faults.injected.worker_stall")
-        future.set_result(fn(items, config))
+        future.set_result(fn(items, *args))
         return future
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False):

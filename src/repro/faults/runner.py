@@ -4,10 +4,10 @@ Each profile drives one recovery surface with the plan's schedule and
 then checks the surface's *stated* failure-handling invariants — the
 same contracts the operations docs promise:
 
-- ``pool`` — every lost worker yields a structured ``WorkerLost``
-  :class:`~repro.parallel.ItemResult`, campaign order is preserved,
+- ``pool`` — in a pooled campaign every lost worker yields a
+  ``WorkerLost`` failure entry, campaign order is preserved,
   transiently-killed items recover via singleton resubmission, and the
-  failure counters agree with the result records,
+  campaign's failure counters agree with its entries,
 - ``serve`` — zero requests dropped without a shed (or expiry/failed)
   response, no duplicate responses, every non-completed response
   carries a reason, and device faults / storm pressure are visibly
@@ -39,9 +39,14 @@ from typing import Any, Callable, Sequence
 
 from repro.config import AcamarConfig
 from repro.core import Acamar
-from repro.datasets import dataset_keys, load_problem, poisson_2d
+from repro.campaign import run_campaign
+from repro.datasets import (
+    dataset_keys,
+    dataset_spec,
+    load_problem,
+    poisson_2d,
+)
 from repro.errors import UnknownNameError
-from repro.parallel import WorkItem, estimate_cost, run_sharded
 from repro.parallel.engine import MAX_ITEM_ATTEMPTS
 from repro.serve.api import Outcome
 from repro.serve.cluster.autoscale import ScaleAction
@@ -173,85 +178,82 @@ def _injected(collector: Telemetry) -> dict[str, int]:
 
 
 def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
-    """Worker-death / stall chaos against ``run_sharded``."""
+    """Worker-death / stall chaos against a pooled ``run_campaign``."""
     sources = dataset_keys()[:POOL_ITEM_COUNT]
-    items = [
-        WorkItem(
-            index=index,
-            source=source,
-            seed=101 + index,
-            cost=estimate_cost(source),
-        )
-        for index, source in enumerate(sources)
-    ]
     schedule = plan.pool_schedule(
-        len(items), max_item_attempts=MAX_ITEM_ATTEMPTS
+        len(sources), max_item_attempts=MAX_ITEM_ATTEMPTS
     )
     factory = ChaosExecutorFactory(schedule)
     collector = Telemetry()
     with collector.activate():
-        outcome = run_sharded(
-            items,
-            AcamarConfig(),
+        report = run_campaign(
+            sources,
+            seed=101,
             workers=POOL_WORKERS,
             chunk_size=POOL_CHUNK_SIZE,
             executor_factory=factory,
         )
+    engine = report.telemetry["campaign"]
+    counters = report.telemetry["counters"]
 
     findings: list[ChaosFinding] = []
 
     def violated(check: str, message: str) -> None:
         findings.append(ChaosFinding("pool", check, message))
 
-    indices = [result.index for result in outcome.results]
-    if indices != list(range(len(items))):
+    # A failure entry is labelled by its source key, a solved one by
+    # the dataset's name; anything else is a misplaced entry.
+    names = [entry.name for entry in report.entries]
+    expected = [
+        key if entry.failed else dataset_spec(key).name
+        for key, entry in zip(sources, report.entries)
+    ]
+    if len(names) != len(sources) or names != expected:
         violated(
             "CHS-POOL-ORDER",
             "campaign order not preserved or items missing: "
-            f"got indices {indices}",
+            f"got entries {names}",
         )
     lost = [
-        result
-        for result in outcome.results
-        if result.error is not None and result.error.startswith("WorkerLost")
+        index
+        for index, entry in enumerate(report.entries)
+        if entry.failed and entry.failure.startswith("WorkerLost")
     ]
     expected_lost = list(schedule.lethal_indices(MAX_ITEM_ATTEMPTS))
-    if sorted(result.index for result in lost) != expected_lost:
+    if lost != expected_lost:
         violated(
             "CHS-POOL-LOST",
             f"items {expected_lost} exhausted their worker-death budget "
-            "but the WorkerLost results were "
-            f"{sorted(r.index for r in lost)}",
+            f"but the WorkerLost entries were {lost}",
         )
-    for result in outcome.results:
-        if result.entry is None and result.error is None:
+    for index, entry in enumerate(report.entries):
+        if not entry.failed and not entry.solver_sequence:
             violated(
                 "CHS-POOL-STRUCT",
-                f"item {result.index} has neither entry nor error",
+                f"item {index} has neither a solve nor a failure",
             )
-        if result.index not in expected_lost and result.entry is None:
+        if index not in expected_lost and entry.failed:
             violated(
                 "CHS-POOL-RECOVER",
-                f"item {result.index} should have recovered "
-                f"(death budget {schedule.item_kills[result.index]}) but "
-                f"reported: {result.error}",
+                f"item {index} should have recovered "
+                f"(death budget {schedule.item_kills[index]}) but "
+                f"reported: {entry.failure}",
             )
-    merged = outcome.telemetry.counters
-    error_count = sum(1 for r in outcome.results if r.error is not None)
-    if merged.get("campaign.failures", 0) != error_count:
+    if counters.get("campaign.failures", 0) != len(report.failures):
         violated(
             "CHS-POOL-PARITY",
-            f"campaign.failures={merged.get('campaign.failures', 0)} but "
-            f"{error_count} result(s) carry an error",
+            f"campaign.failures={counters.get('campaign.failures', 0)} but "
+            f"{len(report.failures)} entries failed",
         )
-    if merged.get("campaign.workers_lost", 0) != len(lost) or (
-        outcome.abandoned_items != len(lost)
+    if counters.get("campaign.workers_lost", 0) != len(lost) or (
+        engine["abandoned_items"] != len(lost)
     ):
         violated(
             "CHS-POOL-PARITY",
-            f"workers_lost counter {merged.get('campaign.workers_lost', 0)} "
-            f"/ abandoned_items {outcome.abandoned_items} disagree with "
-            f"{len(lost)} WorkerLost result(s)",
+            "workers_lost counter "
+            f"{counters.get('campaign.workers_lost', 0)} / abandoned_items "
+            f"{engine['abandoned_items']} disagree with {len(lost)} "
+            "WorkerLost entries",
         )
     injected = _injected(collector)
     if injected.get("faults.injected.worker_death", 0) != schedule.total_kills:
@@ -275,18 +277,18 @@ def run_pool_profile(plan: FaultPlan) -> ProfileOutcome:
         )
 
     observed = {
-        "items": len(items),
+        "items": len(sources),
         "item_kills": list(schedule.item_kills),
         "item_stalls": [int(s) for s in schedule.item_stalls],
-        "entries": sum(1 for r in outcome.results if r.entry is not None),
-        "worker_lost": sorted(r.index for r in lost),
-        "pool_restarts": outcome.pool_restarts,
+        "entries": len(report.entries) - len(report.failures),
+        "worker_lost": lost,
+        "pool_restarts": engine["pool_restarts"],
         "pools_created": factory.pools_created,
-        "abandoned_items": outcome.abandoned_items,
+        "abandoned_items": engine["abandoned_items"],
         "counters": {
-            name: merged[name]
+            name: counters[name]
             for name in ("campaign.failures", "campaign.workers_lost")
-            if name in merged
+            if name in counters
         },
     }
     return ProfileOutcome("pool", injected, observed, tuple(findings))

@@ -1,9 +1,10 @@
-"""Parallel campaign execution: worker-pool sharding with fault isolation.
+"""Parallel fan-out: worker-pool sharding with fault isolation.
 
-The campaign runner (:mod:`repro.campaign`) solves a whole workload
-population; this package spreads that population across a process pool —
-the software analogue of the paper's point that end-to-end throughput
-comes from overlapping *independent* solves across compute units.
+Every batch of independent jobs in repro — campaign solves, cold serving
+profiles, design-space points, lint files — runs through
+:func:`run_sharded`: the software analogue of the paper's point that
+end-to-end throughput comes from overlapping *independent* solves across
+compute units.
 """
 
 from repro.parallel.cost import estimate_cost, source_label
@@ -11,7 +12,6 @@ from repro.parallel.engine import (
     ItemResult,
     ParallelOutcome,
     WorkItem,
-    default_worker_count,
     run_sharded,
     shard_by_cost,
 )
@@ -20,7 +20,6 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "default_worker_count",
     "estimate_cost",
     "run_sharded",
     "shard_by_cost",

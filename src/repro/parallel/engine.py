@@ -1,41 +1,41 @@
-"""Worker-pool execution engine for campaign workloads.
+"""Worker-pool fan-out: the one way repro runs independent jobs.
 
-Shards a population of problem sources across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+Campaign solves, cold serving profiles, design-space points and lint
+files all go through :func:`run_sharded`.  A caller supplies a
+module-level *work function* ``work_fn(item, context) -> entry`` for one
+:class:`WorkItem`; the engine owns everything around it:
 
-- **cost-aware chunking** — items are greedily packed (longest-processing-
-  time-first) into chunks balanced by estimated cost, a proxy for the
-  solve's NNZ-driven work, so one heavy matrix does not serialize the
-  tail of the campaign,
-- **deterministic seeds** — each item carries the seed the campaign
-  derived from its position, so parallel runs reproduce the serial run
-  entry for entry,
-- **ordered reassembly** — workers return results tagged with the item's
-  original index; callers always see campaign order,
-- **fault isolation** — a solve that raises inside a worker yields a
-  structured error record for that item only; a *lost worker process*
-  (``BrokenProcessPool``) triggers a bounded number of pool restarts with
-  singleton resubmission, after which every still-in-flight suspect is
-  recorded as a structured ``WorkerLost`` failure (results completed by
-  surviving chunks are kept); only when the pool could never be started
-  at all is the remainder finished in-process,
-- **per-worker telemetry** — every item is solved under its own
+- **per-item telemetry** — every item runs under its own
   :class:`~repro.telemetry.Telemetry` collector whose dict form rides
-  back with the result for the campaign to merge.
+  back with the result and is merged into :attr:`ParallelOutcome.telemetry`,
+- **fault isolation** — an exception raised by the work function becomes
+  a structured ``"ExceptionType: message"`` error record for that item
+  only,
+- **cost-aware chunking** — items are greedily packed (longest-processing-
+  time-first) into chunks balanced by estimated cost, so one heavy item
+  does not serialize the tail of the run,
+- **ordered reassembly** — results come back in item index order, so a
+  pooled run reproduces the in-process run entry for entry,
+- **lost workers** — a dead worker process (``BrokenProcessPool``)
+  triggers a bounded number of pool restarts with singleton
+  resubmission, after which every still-in-flight suspect is recorded as
+  a ``WorkerLost`` error (results completed by surviving chunks are
+  kept); only when the pool could never be started at all is the
+  remainder finished in-process.
 
-The heavy imports (datasets, solvers) happen lazily inside the worker
-function so the module itself stays cheap to import in the parent.
+``workers=1`` (or a single item) runs the same chunk runner in this
+process and never builds an executor.  The engine records no telemetry
+counters of its own: each caller counts its failures from the results
+under its own names.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
 from repro.parallel.cost import estimate_cost, source_label
 from repro.telemetry import Telemetry
@@ -46,11 +46,9 @@ __all__ = [
     "ItemResult",
     "ParallelOutcome",
     "WorkItem",
-    "default_worker_count",
     "estimate_cost",  # re-exported from repro.parallel.cost
     "run_sharded",
     "shard_by_cost",
-    "solve_items",
     "source_label",  # re-exported from repro.parallel.cost
 ]
 
@@ -65,31 +63,32 @@ a conventional middle ground.
 MAX_ITEM_ATTEMPTS = 2
 """Pool-loss retries per item before it is recorded as a failure."""
 
-
 @dataclass(frozen=True)
 class WorkItem:
-    """One schedulable campaign solve."""
+    """One schedulable job: a source plus the seed derived for it."""
 
     index: int
-    source: Any  # str | Path | Problem — kept loose to avoid heavy imports
+    source: Any  # whatever the work function takes; must pickle
     seed: int
     cost: float
 
 
 @dataclass(frozen=True)
 class ItemResult:
-    """What a worker reports back for one item."""
+    """What the engine reports back for one item."""
 
     index: int
-    entry: Any | None  # CampaignEntry on success
+    entry: Any | None  # the work function's return value on success
     error: str | None
-    label: str
     telemetry: dict[str, Any]
 
 
 @dataclass
 class ParallelOutcome:
-    """Ordered results plus engine-level statistics."""
+    """Ordered results plus engine-level statistics.
+
+    ``workers`` is 1 when the items ran in-process without a pool.
+    """
 
     results: list[ItemResult]
     telemetry: Telemetry
@@ -99,30 +98,10 @@ class ParallelOutcome:
     abandoned_items: int = 0
     chunks: int = 0
 
-
-WORKER_COUNT_ENV = "REPRO_WORKERS"
-"""Environment variable that pins the default pool size."""
-
-
-def default_worker_count() -> int:
-    """Worker-pool size when the caller does not pass one.
-
-    Defaults to the host CPU count; a ``REPRO_WORKERS`` environment
-    variable overrides it so serve/campaign deployments can pin pool
-    size without code changes.  The override must be a positive integer.
-    """
-    raw = os.environ.get(WORKER_COUNT_ENV)
-    if raw is not None:
-        try:
-            workers = int(raw.strip())
-        except ValueError:
-            workers = -1
-        if workers < 1:
-            raise ConfigurationError(
-                f"{WORKER_COUNT_ENV} must be a positive integer, got {raw!r}"
-            )
-        return workers
-    return max(1, os.cpu_count() or 1)
+    @property
+    def failures(self) -> int:
+        """Items that ended in an error record (lost workers included)."""
+        return sum(1 for result in self.results if result.error is not None)
 
 
 def shard_by_cost(
@@ -131,8 +110,8 @@ def shard_by_cost(
     """Pack items into ``n_chunks`` cost-balanced chunks (LPT greedy).
 
     Items are assigned heaviest-first to the currently lightest chunk,
-    then each chunk is restored to campaign (index) order.  Empty chunks
-    are dropped, so the result has at most ``n_chunks`` entries.
+    then each chunk is restored to index order.  Empty chunks are
+    dropped, so the result has at most ``n_chunks`` entries.
     """
     n_chunks = max(1, min(int(n_chunks), len(items)))
     chunks: list[list[WorkItem]] = [[] for _ in range(n_chunks)]
@@ -145,96 +124,71 @@ def shard_by_cost(
     return [chunk for chunk in packed if chunk]
 
 
-def solve_items(
-    items: Sequence[WorkItem], config: AcamarConfig
+def run_chunk(
+    items: Sequence[WorkItem],
+    work_fn: Callable[[WorkItem, Any], Any],
+    context: Any,
 ) -> list[ItemResult]:
-    """Worker entry point: solve a chunk of items, isolating each fault.
+    """Run ``work_fn`` over a chunk, one telemetry collector per item.
 
-    Runs in the pool's worker processes (and doubles as the in-process
-    fallback path).  Every item gets its own telemetry collector; any
-    exception is converted to a structured error record so one diverging
-    or crashing solve cannot take down its chunk-mates.
+    Executes in the pool's worker processes and in-process alike; any
+    exception becomes that item's error record so one crashing job
+    cannot take down its chunk-mates.
     """
-    from repro import telemetry as tm
-    from repro.campaign import build_entry, resolve_source
-
     results: list[ItemResult] = []
     for item in items:
         collector = Telemetry()
+        entry, error = None, None
         with collector.activate():
             try:
-                with tm.span("campaign.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-                entry = build_entry(problem, config)
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=entry,
-                        error=None,
-                        label=entry.name,
-                        telemetry=collector.as_dict(),
-                    )
-                )
+                entry = work_fn(item, context)
             except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("campaign.failures")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=source_label(item.source),
-                        telemetry=collector.as_dict(),
-                    )
-                )
+                error = f"{type(exc).__name__}: {exc}"
+        results.append(
+            ItemResult(item.index, entry, error, collector.as_dict())
+        )
     return results
 
 
-def _lost_worker_result(item: WorkItem, attempts: int) -> ItemResult:
-    # A lost worker is a campaign failure exactly like an in-process
-    # solve fault, so its result telemetry carries the same
-    # ``campaign.failures`` increment the fault-isolation path in
-    # :func:`solve_items` records — aggregate failure counts agree no
-    # matter which path recorded an item.
-    telemetry = Telemetry()
-    telemetry.count("campaign.failures")
-    telemetry.count("campaign.workers_lost")
+def _lost_worker_result(index: int, attempts: int) -> ItemResult:
     return ItemResult(
-        index=item.index,
+        index=index,
         entry=None,
         error=(
             "WorkerLost: worker process died while this item was in "
             f"flight ({attempts} attempts)"
         ),
-        label=source_label(item.source),
-        telemetry=telemetry.as_dict(),
+        telemetry={},
     )
 
 
 def run_sharded(
     items: Sequence[WorkItem],
-    config: AcamarConfig,
-    workers: int,
+    context: Any,
+    work_fn: Callable[[WorkItem, Any], Any],
+    *,
+    workers: int = 1,
     chunk_size: int | None = None,
     max_pool_restarts: int = 2,
     executor_factory: Callable[[int], Any] | None = None,
-    work_fn: Callable[..., list[ItemResult]] = solve_items,
 ) -> ParallelOutcome:
-    """Solve ``items`` on a worker pool; always returns a full outcome.
+    """Run ``work_fn(item, context)`` for every item; always a full outcome.
 
-    ``executor_factory`` exists for tests (inject a deterministic fake);
-    production use leaves it ``None`` for ``ProcessPoolExecutor``.
-    ``chunk_size`` caps items per chunk; by default chunk count is
-    ``workers * DEFAULT_OVERSUBSCRIPTION``.  ``work_fn`` is the worker
-    entry point (``(items, config) -> list[ItemResult]``); it defaults to
-    the campaign's :func:`solve_items` and must be a picklable top-level
-    function — the serving profiler passes its own
-    (:func:`repro.serve.profile.profile_items`) to reuse the pool,
-    restart, and reassembly machinery for a different unit of work.
+    ``work_fn`` must be a picklable module-level function (lint rule
+    REP008 proves it); ``context`` is shipped to every chunk.
+    ``workers`` below 1 is a :class:`ConfigurationError`.
+    ``executor_factory`` exists for tests and fault injection; production
+    use leaves it ``None`` for ``ProcessPoolExecutor``.  ``chunk_size``
+    caps items per chunk; by default chunk count is
+    ``workers * DEFAULT_OVERSUBSCRIPTION``.
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    pooled = workers > 1 and len(items) > 1
     telemetry = Telemetry()
-    outcome = ParallelOutcome(results=[], telemetry=telemetry, workers=workers)
-    if not items:
-        return outcome
+    outcome = ParallelOutcome(
+        results=[], telemetry=telemetry, workers=workers if pooled else 1
+    )
     if executor_factory is None:
         def executor_factory(n: int) -> ProcessPoolExecutor:
             return ProcessPoolExecutor(max_workers=n)
@@ -245,7 +199,12 @@ def run_sharded(
     epoch = 0
     pool_ever_broke = False
 
-    while pending and outcome.pool_restarts <= max_pool_restarts:
+    def abandon(index: int) -> None:
+        pending.pop(index)
+        collected[index] = _lost_worker_result(index, attempts[index])
+        outcome.abandoned_items += 1
+
+    while pooled and pending and outcome.pool_restarts <= max_pool_restarts:
         if epoch == 0:
             if chunk_size is not None:
                 n_chunks = -(-len(pending) // max(1, int(chunk_size)))
@@ -263,11 +222,10 @@ def run_sharded(
         except OSError:
             break  # cannot start workers at all → in-process fallback
         try:
-            futures = {
-                executor.submit(work_fn, tuple(chunk), config): chunk
+            not_done = {
+                executor.submit(run_chunk, tuple(chunk), work_fn, context)
                 for chunk in chunks
             }
-            not_done = set(futures)
             while not_done:
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -284,43 +242,30 @@ def run_sharded(
                     break
         finally:
             executor.shutdown(wait=not broke, cancel_futures=True)
-        if broke:
-            pool_ever_broke = True
-            outcome.pool_restarts += 1
-            for index in pending:
-                attempts[index] += 1
-            exhausted = [
-                index
-                for index, item in pending.items()
-                if attempts[index] >= MAX_ITEM_ATTEMPTS
-            ]
-            for index in exhausted:
-                item = pending.pop(index)
-                result = _lost_worker_result(item, attempts[index])
-                collected[index] = result
-                outcome.abandoned_items += 1
-                telemetry.merge(result.telemetry)
-        else:
+        if not broke:
             break
+        pool_ever_broke = True
+        outcome.pool_restarts += 1
+        for index in pending:
+            attempts[index] += 1
+        for index in [i for i in pending if attempts[i] >= MAX_ITEM_ATTEMPTS]:
+            abandon(index)
 
     if pending and pool_ever_broke:
         # Restart budget exhausted while these items were in flight:
         # every one of them is a crash suspect (it shared its last pool
         # with a breakage), so retrying it in this process would risk
-        # the parent.  Record each as a structured WorkerLost result;
-        # results already completed by surviving chunks stay collected.
+        # the parent.  Record each as a WorkerLost error; results
+        # already completed by surviving chunks stay collected.
         for index in sorted(pending):
-            item = pending.pop(index)
-            result = _lost_worker_result(item, attempts[index])
-            collected[index] = result
-            outcome.abandoned_items += 1
-            telemetry.merge(result.telemetry)
+            abandon(index)
     elif pending:
-        # The pool never started at all (OSError before any submission):
-        # the items are innocent, so finish them in this process.
+        # No pool: one worker, a single item, or the pool never started
+        # (OSError before any submission), so the items are innocent.
+        # Finish them in this process.
         leftovers = sorted(pending.values(), key=lambda it: it.index)
         outcome.in_process_items += len(leftovers)
-        for result in work_fn(leftovers, config):
+        for result in run_chunk(leftovers, work_fn, context):
             collected[result.index] = result
             telemetry.merge(result.telemetry)
 

@@ -58,7 +58,6 @@ from repro.serve.profile import (
     SolveProfile,
     build_profile,
     build_profiles,
-    profile_items,
 )
 from repro.serve.service import (
     ServingReport,
@@ -93,7 +92,6 @@ __all__ = [
     "generate_trace",
     "parse_priority",
     "plan_signature",
-    "profile_items",
     "read_request_log",
     "run_cluster",
     "run_cluster_loadtest",

@@ -3,13 +3,10 @@
 The serving simulator charges *modeled* device time, so each distinct
 problem source needs a ground-truth profile: which solver sequence the
 decision loops pick, how many iterations the final attempt runs, and the
-cost model's per-attempt compute latency.  :func:`profile_items` is a
-worker entry point with the same ``(items, config) -> list[ItemResult]``
-shape as the campaign's ``solve_items``, so the service can dispatch
-profiling through :func:`repro.parallel.engine.run_sharded` (pool
-restarts, fault isolation and ordered reassembly included) when warming
-many unique sources, or call it directly in-process for lazy misses;
-:func:`build_profiles` does exactly that for both serving tiers.
+cost model's per-attempt compute latency.  :func:`build_profiles` runs
+:func:`profile_source` over every unique source through
+:func:`repro.parallel.run_sharded` (pool restarts, fault isolation and
+ordered reassembly included) for both serving tiers.
 
 :func:`price_batch` turns a profile into the device time one
 micro-batch occupies a slot.  It is the only place the serving
@@ -29,13 +26,7 @@ from typing import Any, NamedTuple, Sequence
 
 from repro import telemetry as tm
 from repro.config import AcamarConfig
-from repro.parallel import (
-    ItemResult,
-    WorkItem,
-    estimate_cost,
-    run_sharded,
-    source_label,
-)
+from repro.parallel import WorkItem, estimate_cost, run_sharded
 from repro.placement import (
     CPU_ASSIST_ROUNDTRIP_SECONDS,
     GPU,
@@ -214,86 +205,49 @@ def build_profile(problem: Any, config: AcamarConfig) -> SolveProfile:
     )
 
 
-def profile_items(
-    items: Sequence[WorkItem], config: AcamarConfig
-) -> list[ItemResult]:
-    """Worker entry point: profile a chunk of sources, isolating faults.
-
-    Mirrors the campaign's ``solve_items`` contract so it can ride
-    ``run_sharded`` unchanged: each item gets its own telemetry
-    collector and any exception becomes a structured error record.
-    """
+def profile_source(item: WorkItem, config: AcamarConfig) -> SolveProfile:
+    """``run_sharded`` work function: cold-profile one problem source."""
     from repro.campaign import resolve_source
 
-    results: list[ItemResult] = []
-    for item in items:
-        collector = Telemetry()
-        with collector.activate():
-            try:
-                with tm.span("serve.profile.resolve"):
-                    problem = resolve_source(item.source, item.seed)
-                profile = build_profile(problem, config)
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=profile,
-                        error=None,
-                        label=profile.label,
-                        telemetry=collector.as_dict(),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — fault isolation
-                tm.count("serve.profile_failures")
-                results.append(
-                    ItemResult(
-                        index=item.index,
-                        entry=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                        label=source_label(item.source),
-                        telemetry=collector.as_dict(),
-                    )
-                )
-    return results
+    with tm.span("serve.profile.resolve"):
+        problem = resolve_source(item.source, item.seed)
+    return build_profile(problem, config)
 
 
 def build_profiles(
     sources: Sequence[str],
     config: AcamarConfig,
     workers: int = 1,
-    seed: int = 1,
     collector: Telemetry | None = None,
 ) -> dict[str, "SolveProfile | str"]:
     """Profile every unique source once (real solves, memoized).
 
-    ``workers > 1`` fans profiling out through the parallel engine's
-    pool machinery with :func:`profile_items` as the work function;
-    otherwise it runs in-process.  A profiling failure maps the source
-    to its error string — requests for it will be answered with
-    ``FAILED`` responses rather than sinking the run.
+    ``workers`` fans profiling out through :func:`run_sharded` with
+    :func:`profile_source` as the work function.  A profiling failure
+    (or a lost worker) maps the source to its error string — requests
+    for it will be answered with ``FAILED`` responses rather than
+    sinking the run — and counts ``serve.profile_failures``.
     """
+    unique = list(dict.fromkeys(sources))
     items = [
         WorkItem(
             index=index,
             source=source,
-            seed=seed,
+            seed=1,  # a .mtx source's right-hand side; keys fix their own
             cost=estimate_cost(source),
         )
-        for index, source in enumerate(dict.fromkeys(sources))
+        for index, source in enumerate(unique)
     ]
-    collector = collector if collector is not None else Telemetry()
-    if workers > 1 and len(items) > 1:
-        outcome = run_sharded(
-            items, config, workers=workers, work_fn=profile_items
-        )
-        results = outcome.results
-        collector.merge(outcome.telemetry)
-    else:
-        results = profile_items(items, config)
-        for result in results:
-            collector.merge(result.telemetry)
-    profiles: dict[str, SolveProfile | str] = {}
-    for item, result in zip(items, sorted(results, key=lambda r: r.index)):
-        profiles[str(item.source)] = (
-            result.entry if result.entry is not None else result.error
-        )
-    return profiles
+    outcome = run_sharded(
+        items, config, work_fn=profile_source, workers=workers
+    )
+    telemetry = outcome.telemetry
+    if outcome.failures:
+        telemetry.count("serve.profile_failures", outcome.failures)
+    if collector is not None:
+        collector.merge(telemetry)
+    return {
+        str(source): result.entry if result.entry is not None
+        else result.error
+        for source, result in zip(unique, outcome.results)
+    }

@@ -460,10 +460,5 @@ def run_service(
             meta=dict(meta or {}),
         )
         tm.count("serve.requests", len(requests))
-        latencies = report._served()["finish"] - trace.arrival_s[
-            cluster.served_idx
-        ]
-        for latency in latencies.tolist():
-            tm.observe("serve.latency_ms", latency * 1e3)
     return report
 

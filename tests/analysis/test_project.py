@@ -3,7 +3,7 @@
 Covers the phase-1 facts records, the :class:`ProjectIndex` resolution
 helpers, the incremental content-hash cache (content change, rule-set
 change, version bump), byte-identity between the serial / warm-cache /
-parallel paths, the ``lint_items`` worker entry point, and the
+parallel paths, the ``lint_file`` work function, and the
 ``--diff`` changed-files machinery.
 """
 
@@ -19,11 +19,10 @@ from repro.analysis.project import (
     ProjectIndex,
     changed_files,
     extract_facts,
-    lint_items,
+    lint_file,
 )
-from repro.config import AcamarConfig
 from repro.errors import ConfigurationError
-from repro.parallel import WorkItem
+from repro.parallel import WorkItem, run_sharded
 
 CLEAN = "VALUE = 1\n"
 DIRTY = "import time\n\nSTAMP = time.time()\n"
@@ -83,26 +82,23 @@ class TestFactsExtraction:
             "def f(x):\n"
             "    with tm.span(\"phase.run\"):\n"
             "        tm.count(\"hits\")\n"
-            "        tm.observe(\"latency\", 1.0)\n"
             "        tm.count(f\"fam.{x}\")\n",
         )
         emits = facts["emits"]
         assert list(emits["spans"]) == ["phase.run"]
         assert list(emits["counters"]) == ["hits"]
-        assert list(emits["distributions"]) == ["latency"]
         assert list(emits["counter_heads"]) == ["fam."]
 
     def test_registry_only_for_telemetry_module(self, tmp_path):
         code = (
             "KNOWN_SPANS = frozenset({\"a.b\"})\n"
             "KNOWN_COUNTERS = frozenset({\"hits\"})\n"
-            "KNOWN_DISTRIBUTIONS = frozenset()\n"
             "KNOWN_COUNTER_PREFIXES = frozenset({\"fam.\"})\n"
         )
         telemetry = facts_for(tmp_path, "repro/telemetry.py", code)
         assert telemetry["registry"]["spans"] == {"a.b": 1}
         assert telemetry["registry"]["counters"] == {"hits": 2}
-        assert telemetry["registry"]["prefixes"] == {"fam.": 4}
+        assert telemetry["registry"]["prefixes"] == {"fam.": 3}
         other = facts_for(tmp_path, "repro/helpers.py", code)
         assert other["registry"] is None
 
@@ -355,6 +351,19 @@ class TestParallelByteIdentity:
                 fanned, fmt
             )
 
+    def test_project_rule_subset_identical_across_workers(self, tmp_path):
+        # A rule set with no file-scoped rule must not widen to every
+        # file-scoped rule in the workers.
+        write_tree(tmp_path, self.FILES)
+        reports = [
+            run_project_lint(
+                [tmp_path], root=tmp_path, use_cache=False,
+                rules=["REP008"], workers=workers,
+            )
+            for workers in (1, 2)
+        ]
+        assert reports[0].findings == reports[1].findings == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_syntax_error_raises_in_both_modes(self, tmp_path, workers):
         write_tree(tmp_path, {
@@ -367,16 +376,17 @@ class TestParallelByteIdentity:
 
 
 class TestLintItemsWorker:
-    def item(self, path, root, rules_csv=""):
-        return WorkItem(
-            index=0, source=(str(path), str(root), rules_csv),
-            seed=0, cost=1.0,
-        )
+    def lint(self, path, root, rules=None):
+        item = WorkItem(index=0, source=str(path), seed=0, cost=1.0)
+        (result,) = run_sharded(
+            [item], (root, rules), work_fn=lint_file
+        ).results
+        return result
 
     def test_worker_returns_findings_and_facts(self, tmp_path):
         write_tree(tmp_path, {"repro/sparse/dirty.py": DIRTY})
         path = tmp_path / "repro" / "sparse" / "dirty.py"
-        (result,) = lint_items([self.item(path, tmp_path)], AcamarConfig())
+        result = self.lint(path, tmp_path)
         assert result.error is None
         entry = result.entry
         assert entry["path"] == "repro/sparse/dirty.py"
@@ -386,15 +396,13 @@ class TestLintItemsWorker:
     def test_worker_honours_rule_subset(self, tmp_path):
         write_tree(tmp_path, {"repro/sparse/dirty.py": DIRTY})
         path = tmp_path / "repro" / "sparse" / "dirty.py"
-        (result,) = lint_items(
-            [self.item(path, tmp_path, "REP002")], AcamarConfig()
-        )
+        result = self.lint(path, tmp_path, ["REP002"])
         assert result.entry["findings"] == []
 
     def test_worker_reports_syntax_error_not_raises(self, tmp_path):
         write_tree(tmp_path, {"repro/sparse/broken.py": "def broken(:\n"})
         path = tmp_path / "repro" / "sparse" / "broken.py"
-        (result,) = lint_items([self.item(path, tmp_path)], AcamarConfig())
+        result = self.lint(path, tmp_path)
         assert result.entry is None
         assert "cannot lint" in result.error
 
@@ -446,7 +454,6 @@ class TestChangedFiles:
             "repro/telemetry.py": (
                 "KNOWN_SPANS = frozenset()\n"
                 "KNOWN_COUNTERS = frozenset({\"ghost\"})\n"
-                "KNOWN_DISTRIBUTIONS = frozenset()\n"
                 "KNOWN_COUNTER_PREFIXES = frozenset()\n"
             ),
             "repro/sparse/dirty.py": DIRTY,

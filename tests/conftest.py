@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 from repro.sparse import CSRMatrix
+
+
+class _LosingPool:
+    """``ProcessPoolExecutor`` stand-in: runs chunks inline, except that
+    a chunk holding item 0 always kills its worker."""
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+
+    def submit(self, fn, items, *args) -> Future:
+        future: Future = Future()
+        if any(item.index == 0 for item in items):
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(items, *args))
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        return None
+
+
+@pytest.fixture
+def losing_pool(monkeypatch):
+    """Make every pooled ``run_sharded`` lose the worker of item 0."""
+    monkeypatch.setattr(
+        "repro.parallel.engine.ProcessPoolExecutor", _LosingPool
+    )
 
 
 @pytest.fixture

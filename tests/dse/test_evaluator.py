@@ -8,12 +8,14 @@ from repro.dse import (
     TrafficSpec,
     acamar_config_for,
     cluster_config_for,
-    evaluate_items,
     evaluate_point,
+    point_id,
+    run_dse,
     run_sweep,
 )
 from repro.config import AcamarConfig
-from repro.parallel import WorkItem
+from repro.dse.evaluator import evaluate_payload
+from repro.parallel import WorkItem, run_sharded
 from repro.telemetry import Telemetry
 
 
@@ -99,11 +101,9 @@ class TestEvaluatePoint:
 
 class TestEvaluateItems:
     def test_bad_payload_becomes_error_record(self):
-        collector = Telemetry()
         item = WorkItem(
             index=0,
             source={
-                "id": "broken",
                 "shape": {**tiny_shape().as_dict(),
                           "slots_per_fleet": 0},
                 "traffic": tiny_traffic().as_dict(),
@@ -112,12 +112,25 @@ class TestEvaluateItems:
             seed=0,
             cost=1.0,
         )
-        with collector.activate():
-            results = evaluate_items([item], AcamarConfig())
-        assert len(results) == 1
-        assert results[0].entry is None
-        assert "ConfigurationError" in results[0].error
-        assert results[0].label == "broken"
+        (result,) = run_sharded(
+            [item], AcamarConfig(), work_fn=evaluate_payload
+        ).results
+        assert result.entry is None
+        assert "ConfigurationError" in result.error
+
+    def test_lost_worker_counts_as_failed_point(self, losing_pool):
+        space = tiny_space()
+        collector = Telemetry()
+        report = run_dse(space, seed=0, workers=2, collector=collector)
+        shape, traffic = next(iter(space.points()))
+        assert [f["id"] for f in report.failures] == [
+            point_id(shape, traffic)
+        ]
+        assert report.failures[0]["error"].startswith("WorkerLost")
+        assert collector.counters["dse.points_failed"] == 1
+        assert collector.counters["dse.points_evaluated"] == len(space) - 1
+        assert "campaign.failures" not in collector.counters
+        assert "campaign.workers_lost" not in collector.counters
 
     def test_counters_track_outcomes(self):
         space = tiny_space()

@@ -27,8 +27,8 @@ class TestBandsFile:
 
     def test_hotpath_bands_are_present(self):
         bands = load_bands()
-        assert "hotpath_bicgstab_speedup" in bands
-        assert "hotpath_bicg_speedup" in bands
+        assert "hotpath_bicgstab_vs_scipy" in bands
+        assert "hotpath_cg_vs_scipy" in bands
 
     def test_serving_bands_are_present(self):
         bands = load_bands()

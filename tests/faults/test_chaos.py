@@ -21,35 +21,35 @@ class TestPoolProfile:
         assert outcome.observed["pool_restarts"] > 0
 
     def test_detects_dropped_results(self, monkeypatch):
-        # If the engine loses an item, the chaos audit must say so —
-        # prove the findings path fires by faking a lossy engine.
+        # If the pooled campaign loses an item, the chaos audit must say
+        # so — prove the findings path fires by faking a lossy campaign.
         import repro.faults.runner as runner
 
-        real_run_sharded = runner.run_sharded
+        real_run_campaign = runner.run_campaign
 
-        def lossy_run_sharded(items, config, **kwargs):
-            outcome = real_run_sharded(items, config, **kwargs)
-            outcome.results = outcome.results[:-1]  # drop the tail item
-            return outcome
+        def lossy_run_campaign(sources, **kwargs):
+            report = real_run_campaign(sources, **kwargs)
+            report.entries = report.entries[:-1]  # drop the tail item
+            return report
 
-        monkeypatch.setattr(runner, "run_sharded", lossy_run_sharded)
+        monkeypatch.setattr(runner, "run_campaign", lossy_run_campaign)
         outcome = run_pool_profile(FaultPlan(0))
         assert not outcome.clean
         assert any(f.check == "CHS-POOL-ORDER" for f in outcome.findings)
 
     def test_detects_missing_failure_counters(self, monkeypatch):
-        # Strip the failure counters off the merged telemetry: the
-        # parity invariant (satellite of this PR) must catch it.
+        # Strip the failure counter off the campaign's telemetry: the
+        # parity invariant must catch it.
         import repro.faults.runner as runner
 
-        real_run_sharded = runner.run_sharded
+        real_run_campaign = runner.run_campaign
 
-        def amnesiac_run_sharded(items, config, **kwargs):
-            outcome = real_run_sharded(items, config, **kwargs)
-            outcome.telemetry.counters.pop("campaign.failures", None)
-            return outcome
+        def amnesiac_run_campaign(sources, **kwargs):
+            report = real_run_campaign(sources, **kwargs)
+            report.telemetry["counters"].pop("campaign.failures", None)
+            return report
 
-        monkeypatch.setattr(runner, "run_sharded", amnesiac_run_sharded)
+        monkeypatch.setattr(runner, "run_campaign", amnesiac_run_campaign)
         outcome = run_pool_profile(FaultPlan(0))
         assert any(f.check == "CHS-POOL-PARITY" for f in outcome.findings)
 

@@ -1,19 +1,21 @@
-"""Tests for the worker-pool campaign engine."""
+"""Tests for the worker-pool fan-out engine."""
 
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
+import pytest
 
+from repro.campaign import run_campaign, solve_source
 from repro.config import AcamarConfig
 from repro.datasets import poisson_2d
 from repro.datasets.problem import Problem
+from repro.errors import ConfigurationError
 from repro.parallel.engine import (
     WorkItem,
     estimate_cost,
     run_sharded,
     shard_by_cost,
-    solve_items,
     source_label,
 )
 
@@ -23,6 +25,14 @@ def make_items(sources, seed=1):
         WorkItem(index=i, source=s, seed=seed + i, cost=estimate_cost(s))
         for i, s in enumerate(sources)
     ]
+
+
+def solve(items, workers=1, **kwargs):
+    """Campaign solves of ``items`` through the engine."""
+    return run_sharded(
+        items, AcamarConfig(), work_fn=solve_source, workers=workers,
+        **kwargs,
+    )
 
 
 def broken_problem(name="broken"):
@@ -84,7 +94,7 @@ class TestShardByCost:
 
 class TestSolveItems:
     def test_solves_and_reports_telemetry(self):
-        results = solve_items(make_items(["Wa"]), AcamarConfig())
+        results = solve(make_items(["Wa"])).results
         assert len(results) == 1
         assert results[0].error is None
         assert results[0].entry.converged
@@ -92,12 +102,15 @@ class TestSolveItems:
 
     def test_fault_isolated_per_item(self):
         items = make_items([broken_problem(), poisson_2d(8)])
-        results = solve_items(items, AcamarConfig())
-        assert results[0].error is not None
+        outcome = solve(items)
+        results = outcome.results
+        assert results[0].error.startswith("ShapeMismatchError: ")
         assert results[0].entry is None
-        assert results[0].label == "broken"
         assert results[1].error is None
         assert results[1].entry.converged
+        assert outcome.failures == 1
+        # The engine counts nothing itself; callers name their failures.
+        assert outcome.telemetry.counters.get("campaign.failures") is None
 
 
 class TestSourceLabel:
@@ -117,14 +130,14 @@ class _FlakyExecutor:
         self.poison = poison
         self.budget = budget  # dict: remaining breaks
 
-    def submit(self, fn, items, config):
+    def submit(self, fn, items, *args):
         future = Future()
         hit = [str(it.source) for it in items if str(it.source) in self.poison]
         if hit and self.budget.get("remaining", 0) > 0:
             self.budget["remaining"] -= 1
             future.set_exception(BrokenProcessPool("worker died"))
         else:
-            future.set_result(fn(items, config))
+            future.set_result(fn(items, *args))
         return future
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -133,14 +146,28 @@ class _FlakyExecutor:
 
 class TestRunSharded:
     def test_empty_items(self):
-        outcome = run_sharded([], AcamarConfig(), workers=2)
+        outcome = solve([], workers=2)
         assert outcome.results == []
+
+    def test_workers_below_one_rejected(self):
+        for bad in (0, -2):
+            with pytest.raises(ConfigurationError, match="workers"):
+                solve(make_items(["Wa"]), workers=bad)
+
+    def test_one_worker_never_builds_an_executor(self):
+        def factory(n):
+            raise AssertionError("workers=1 must run in-process")
+
+        outcome = solve(make_items(["Wa", "Li"]), executor_factory=factory)
+        assert outcome.workers == 1
+        assert outcome.in_process_items == 2
+        assert outcome.chunks == 0
+        assert all(r.entry is not None for r in outcome.results)
 
     def test_real_pool_matches_serial(self):
         items = make_items(["Wa", "Li", "Fe"])
-        config = AcamarConfig()
-        serial = solve_items(items, config)
-        outcome = run_sharded(items, config, workers=2)
+        serial = solve(items).results
+        outcome = solve(items, workers=2)
         assert [r.index for r in outcome.results] == [0, 1, 2]
         for ours, ref in zip(outcome.results, serial):
             assert ours.entry.name == ref.entry.name
@@ -149,7 +176,7 @@ class TestRunSharded:
 
     def test_worker_exception_isolated_in_real_pool(self):
         items = make_items([broken_problem(), poisson_2d(8)])
-        outcome = run_sharded(items, AcamarConfig(), workers=2)
+        outcome = solve(items, workers=2)
         assert outcome.results[0].error is not None
         assert outcome.results[1].entry.converged
 
@@ -162,13 +189,10 @@ class TestRunSharded:
             factory_calls.append(n)
             return _FlakyExecutor({"Li"}, budget)
 
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
-        )
+        outcome = solve(items, workers=2, executor_factory=factory)
         assert outcome.pool_restarts == 1
         assert len(factory_calls) == 2
-        entries = {r.label: r for r in outcome.results}
-        assert entries["light_in_tissue"].error is None
+        assert outcome.results[1].entry.name == "light_in_tissue"
         assert all(r.entry is not None for r in outcome.results)
 
     def test_persistent_worker_loss_becomes_failure_record(self):
@@ -178,9 +202,7 @@ class TestRunSharded:
         def factory(n):
             return _FlakyExecutor({"Li"}, budget)
 
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
-        )
+        outcome = solve(items, workers=2, executor_factory=factory)
         assert len(outcome.results) == 3
         by_index = {r.index: r for r in outcome.results}
         assert by_index[1].error is not None
@@ -195,9 +217,7 @@ class TestRunSharded:
             raise OSError("no processes available")
 
         items = make_items(["Wa", "Li"])
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=4, executor_factory=factory
-        )
+        outcome = solve(items, workers=4, executor_factory=factory)
         assert outcome.in_process_items == 2
         assert all(r.entry is not None for r in outcome.results)
 
@@ -206,10 +226,10 @@ class TestRunSharded:
         chunks = []
 
         class Recorder:
-            def submit(self, fn, chunk, config):
+            def submit(self, fn, chunk, *args):
                 chunks.append(chunk)
                 future = Future()
-                future.set_result(fn(chunk, config))
+                future.set_result(fn(chunk, *args))
                 return future
 
             def shutdown(self, wait=True, cancel_futures=False):
@@ -218,20 +238,14 @@ class TestRunSharded:
         def factory(n):
             return Recorder()
 
-        run_sharded(
-            items,
-            AcamarConfig(),
-            workers=2,
-            chunk_size=2,
-            executor_factory=factory,
-        )
+        solve(items, workers=2, chunk_size=2, executor_factory=factory)
         assert len(chunks) == 2
         assert all(len(chunk) == 2 for chunk in chunks)
 
     def test_deterministic_across_runs(self):
         items = make_items(["Wa", "Li"])
-        first = run_sharded(items, AcamarConfig(), workers=2)
-        second = run_sharded(items, AcamarConfig(), workers=2)
+        first = solve(items, workers=2)
+        second = solve(items, workers=2)
         for a, b in zip(first.results, second.results):
             assert a.entry.iterations == b.entry.iterations
             assert a.entry.solver_sequence == b.entry.solver_sequence
@@ -242,37 +256,24 @@ class TestAllErrorReassembly:
         items = make_items(
             [broken_problem("b0"), broken_problem("b1"), broken_problem("b2")]
         )
-        outcome = run_sharded(items, AcamarConfig(), workers=2)
+        outcome = solve(items, workers=2)
         assert [r.index for r in outcome.results] == [0, 1, 2]
         assert all(r.entry is None for r in outcome.results)
         assert all(r.error is not None for r in outcome.results)
-        assert [r.label for r in outcome.results] == ["b0", "b1", "b2"]
+        assert outcome.failures == 3
         assert outcome.abandoned_items == 0
 
 
-def echo_items(chunk, config):
-    """Module-level work_fn stand-in: pool workers must be able to pickle
-    it, exactly like the real ``solve_items``/``profile_items``."""
-    from repro.parallel.engine import ItemResult
-
-    return [
-        ItemResult(
-            index=it.index,
-            entry=f"echo:{it.source}",
-            error=None,
-            label=str(it.source),
-            telemetry={},
-        )
-        for it in chunk
-    ]
+def echo_source(item, context):
+    """Module-level work function stand-in: pool workers must be able to
+    pickle it, exactly like the real ``solve_source``/``profile_source``."""
+    return f"{context}:{item.source}"
 
 
 class TestCustomWorkFn:
     def test_work_fn_replaces_solve_items(self):
         items = make_items(["Wa", "Li", "Fe"])
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=2, work_fn=echo_items
-        )
+        outcome = run_sharded(items, "echo", echo_source, workers=2)
         assert [r.entry for r in outcome.results] == [
             "echo:Wa", "echo:Li", "echo:Fe",
         ]
@@ -283,79 +284,48 @@ class TestCustomWorkFn:
 
         outcome = run_sharded(
             make_items(["Wa", "Li"]),
-            AcamarConfig(),
+            "echo",
+            work_fn=echo_source,
             workers=4,
             executor_factory=factory,
-            work_fn=echo_items,
         )
         assert outcome.in_process_items == 2
         assert all(r.entry.startswith("echo:") for r in outcome.results)
 
 
-class TestDefaultWorkerCount:
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        monkeypatch.delenv(WORKER_COUNT_ENV, raising=False)
-        assert default_worker_count() == max(1, os.cpu_count() or 1)
-
-    def test_env_override_honored(self, monkeypatch):
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        monkeypatch.setenv(WORKER_COUNT_ENV, " 3 ")
-        assert default_worker_count() == 3
-
-    def test_invalid_override_rejected(self, monkeypatch):
-        import pytest
-
-        from repro.errors import ConfigurationError
-        from repro.parallel.engine import WORKER_COUNT_ENV, default_worker_count
-
-        for bad in ("0", "-2", "many", ""):
-            monkeypatch.setenv(WORKER_COUNT_ENV, bad)
-            with pytest.raises(ConfigurationError, match=WORKER_COUNT_ENV):
-                default_worker_count()
-
-
 class TestWorkerLostAccounting:
-    """WorkerLost records must count failures exactly like solve faults."""
+    """The campaign counts lost workers as failures, like solve faults."""
 
     def test_lost_worker_counters_match_fault_path(self):
-        items = make_items(["Wa", "Li", "Fe"])
         budget = {"remaining": 100}  # Li always kills its worker
 
         def factory(n):
             return _FlakyExecutor({"Li"}, budget)
 
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+        report = run_campaign(
+            ["Wa", "Li", "Fe"], workers=2, executor_factory=factory
         )
-        lost = [r for r in outcome.results if r.error is not None]
-        assert len(lost) == 1
-        # The per-item record carries the same failure increment the
-        # in-worker fault-isolation path would have recorded.
-        counters = lost[0].telemetry["counters"]
+        lost = report.failures
+        assert [e.name for e in lost] == ["Li"]
+        assert lost[0].failure.startswith("WorkerLost")
+        counters = report.telemetry["counters"]
         assert counters["campaign.failures"] == 1
         assert counters["campaign.workers_lost"] == 1
-        # And the aggregate agrees with the result records.
-        merged = outcome.telemetry.counters
-        assert merged["campaign.failures"] == len(lost)
-        assert merged["campaign.workers_lost"] == len(lost)
+        assert report.telemetry["campaign"]["abandoned_items"] == 1
 
     def test_mixed_fault_paths_agree_in_aggregate(self):
-        items = make_items([broken_problem(), "Wa", "Li"])
         budget = {"remaining": 100}  # Li kills workers; index 0 raises
 
         def factory(n):
             return _FlakyExecutor({"Li"}, budget)
 
-        outcome = run_sharded(
-            items, AcamarConfig(), workers=2, executor_factory=factory
+        report = run_campaign(
+            [broken_problem(), "Wa", "Li"], workers=2,
+            executor_factory=factory,
         )
-        errored = [r for r in outcome.results if r.error is not None]
-        assert outcome.telemetry.counters["campaign.failures"] == len(errored)
+        counters = report.telemetry["counters"]
+        assert counters["campaign.failures"] == len(report.failures) == 2
+        assert counters["campaign.workers_lost"] == 1
 
 
 class TestRestartExhaustionMidCampaign:
@@ -368,9 +338,8 @@ class TestRestartExhaustionMidCampaign:
         def factory(n):
             return _FlakyExecutor({"Li"}, budget)
 
-        outcome = run_sharded(
+        outcome = solve(
             items,
-            AcamarConfig(),
             workers=2,
             chunk_size=2,
             max_pool_restarts=0,
@@ -400,12 +369,8 @@ class TestRestartExhaustionMidCampaign:
         def factory(n):
             return _FlakyExecutor({"Wa", "Li", "Fe"}, budget)
 
-        outcome = run_sharded(
-            items,
-            AcamarConfig(),
-            workers=2,
-            max_pool_restarts=1,
-            executor_factory=factory,
+        outcome = solve(
+            items, workers=2, max_pool_restarts=1, executor_factory=factory
         )
         assert [r.index for r in outcome.results] == [0, 1, 2]
         assert all(

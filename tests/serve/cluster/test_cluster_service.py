@@ -125,7 +125,7 @@ class TestAccounting:
         collector = Telemetry()
         with collector.activate():
             profiles = build_profiles(
-                list(trace.sources), AcamarConfig(), workers=1, seed=1,
+                list(trace.sources), AcamarConfig(), workers=1,
                 collector=collector,
             )
             sim = _ClusterSimulation(trace, small_config(), profiles)

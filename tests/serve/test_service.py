@@ -101,6 +101,20 @@ class TestBuildProfiles:
         assert isinstance(profiles["bogus-key"], str)
         assert "bogus-key" in profiles["bogus-key"]
 
+    def test_lost_worker_counts_as_profile_failure(self, losing_pool):
+        from repro.serve.profile import SolveProfile
+        from repro.telemetry import Telemetry
+
+        collector = Telemetry()
+        profiles = build_profiles(
+            ["Wa", "2C"], acamar_config(), workers=2, collector=collector
+        )
+        assert profiles["Wa"].startswith("WorkerLost")
+        assert isinstance(profiles["2C"], SolveProfile)
+        assert collector.counters["serve.profile_failures"] == 1
+        assert "campaign.failures" not in collector.counters
+        assert "campaign.workers_lost" not in collector.counters
+
 
 def acamar_config():
     from repro.config import AcamarConfig
@@ -215,8 +229,13 @@ class TestReport:
         first = json.loads(lines[0])
         assert first["request_id"] == baseline_report.responses[0].request_id
 
-    def test_latency_distribution_in_telemetry(self, baseline_report):
-        distributions = baseline_report.telemetry.distributions
-        assert len(distributions["serve.latency_ms"]) == len(
+    def test_latency_population_lives_in_report(self, baseline_report):
+        # The report's latency section is the one copy of the completed
+        # requests' latencies; telemetry carries spans and counters only.
+        doc = baseline_report.as_dict(include_responses=False)
+        assert doc["latency_ms"]["overall"]["count"] == len(
             baseline_report.completed
         )
+        assert set(baseline_report.telemetry.as_dict()) == {
+            "schema_version", "spans", "counters",
+        }

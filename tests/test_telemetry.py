@@ -119,50 +119,10 @@ class TestTelemetry:
 
 
 class TestDistributions:
-    def test_observe_collects_values(self):
-        collector = Telemetry()
-        collector.observe("latency", 2.0)
-        collector.observe("latency", 4.0)
-        assert collector.distributions["latency"] == [2.0, 4.0]
-
-    def test_as_dict_summarizes_and_keeps_raw_values(self):
-        collector = Telemetry()
-        for value in [1.0, 2.0, 3.0, 4.0]:
-            collector.observe("latency", value)
-        summary = collector.as_dict()["distributions"]["latency"]
-        assert summary["count"] == 4
-        assert summary["mean"] == 2.5
-        assert summary["p50"] == 2.5
-        assert summary["max"] == 4.0
-        assert summary["values"] == [1.0, 2.0, 3.0, 4.0]
-
     def test_distributions_key_absent_when_empty(self):
-        # Schema v1 compatibility: reports without observations look
-        # exactly like pre-distribution reports.
+        # Telemetry records spans and counters only; per-event
+        # populations (serving latencies) live in their reports.
         assert "distributions" not in Telemetry().as_dict()
-
-    def test_merge_is_associative_across_dict_form(self):
-        a, b = Telemetry(), Telemetry()
-        a.observe("latency", 1.0)
-        b.observe("latency", 9.0)
-        direct = Telemetry()
-        direct.merge(a)
-        direct.merge(b)
-        via_dict = Telemetry()
-        via_dict.merge(a.as_dict())
-        via_dict.merge(b.as_dict())
-        assert direct.distributions == via_dict.distributions
-        assert (
-            direct.as_dict()["distributions"]
-            == via_dict.as_dict()["distributions"]
-        )
-
-    def test_module_level_observe_routes_to_active(self):
-        collector = Telemetry()
-        with collector.activate():
-            tm.observe("latency", 7.0)
-        tm.observe("ignored", 1.0)  # no active collector: must not raise
-        assert collector.distributions == {"latency": [7.0]}
 
 
 class TestPercentile:
